@@ -25,7 +25,7 @@
 //! Latency is measured per frame on the client: time from "frame due" to
 //! the send returning, i.e. the backpressure the fleet pushes onto a
 //! sensor. A background drainer archives frames on a cadence like a real
-//! ingest node, so the `drain_frames` hand-off is exercised under load.
+//! ingest node, so the `FleetHandle::drain` hand-off is exercised under load.
 //!
 //! The gate (`--gate`) requires the 100-sensor run to sustain at least
 //! `GATE_HZ_PER_SENSOR` per sensor on hosts with >= 4 cores; on smaller

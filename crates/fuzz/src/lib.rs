@@ -37,7 +37,8 @@ pub enum Target {
     /// The wire protocol reader (resynchronizing `FrameReader` drain).
     Wire,
     /// The chaos transport: bytes are a [`dbgc_net::FaultSchedule`] driving a
-    /// full client/server session, held to the safety invariant.
+    /// resilient client into a one-tenant fleet, held to the safety
+    /// invariant.
     WireFault,
     /// The queryable archive: bytes are ingested into a
     /// [`dbgc_store::FrameStore`] and queried; mutated index trailers must
@@ -132,13 +133,14 @@ pub fn decode_target(target: Target, bytes: &[u8]) -> Result<(), String> {
         Target::WireFault => {
             // The input is a serialized fault schedule. Decoding is total
             // (hostile bytes clamp to a valid schedule), and the schedule
-            // then drives a real client/server session over a faulty link.
-            // The contract is the chaos safety invariant: whatever the
-            // schedule destroyed, the store holds an exactly-once in-order
-            // prefix with intact payloads and partitioned counters.
+            // then drives a resilient client over a faulty link into a
+            // one-tenant fleet. The contract is the chaos safety invariant:
+            // whatever the schedule destroyed, the tenant holds an
+            // exactly-once in-order prefix with intact payloads and
+            // partitioned counts.
             let schedule = dbgc_net::FaultSchedule::from_bytes(bytes);
-            let config = dbgc_net::chaos::ChaosConfig::fuzz(0);
-            dbgc_net::chaos::run_chaos_with_schedule(&config, schedule).verify_safety()
+            let config = dbgc_net::FleetChaosConfig::fuzz(0);
+            dbgc_net::run_fleet_chaos_with_schedule(&config, schedule).verify_safety()
         }
         Target::StoreIndex => {
             // Contract: ingest+query never panic or overallocate, and
@@ -275,7 +277,7 @@ pub fn build_seed_inputs_sized(seed: u64, h_samples: u32) -> Vec<SeedInput> {
         SeedInput { target: Target::Wire, bytes: wire },
         SeedInput {
             target: Target::WireFault,
-            bytes: dbgc_net::chaos::ChaosConfig::fuzz(seed).schedule().to_bytes(),
+            bytes: dbgc_net::FleetChaosConfig::fuzz(seed).schedule().to_bytes(),
         },
         SeedInput { target: Target::StoreIndex, bytes: indexed_bytes },
     ]

@@ -221,11 +221,11 @@ fn run_wire_faults(opts: &Options) {
     let started = Instant::now();
     for iter in 0..opts.iters {
         let seed = opts.seed + iter;
-        let generated = dbgc_net::chaos::ChaosConfig::fuzz(seed).schedule().to_bytes();
+        let generated = dbgc_net::FleetChaosConfig::fuzz(seed).schedule().to_bytes();
         let (input, kind) = if iter % 2 == 0 {
             (generated, "generated")
         } else {
-            let donor = dbgc_net::chaos::ChaosConfig::fuzz(seed ^ 0x5EED).schedule().to_bytes();
+            let donor = dbgc_net::FleetChaosConfig::fuzz(seed ^ 0x5EED).schedule().to_bytes();
             mutator.mutate(&generated, &donor)
         };
         if let CaseResult::Fail(reason) =

@@ -1,14 +1,15 @@
-//! The multi-tenant ingestion fleet: one server, many sensor streams.
+//! The ingestion fleet: the DBGC server, for one sensor stream or thousands.
 //!
-//! [`crate::server::SessionServer`] is a transport-free state machine, but
-//! everything above it so far serves *one* blocking connection at a time.
-//! This module multiplexes thousands of them behind a single façade:
+//! Every ingest path runs through here — the in-process handle, the TCP edge
+//! ([`crate::tcp`]), and the chaos harness ([`crate::fleet_chaos`]). A
+//! one-tenant `FleetConfig::new(1)` is the plain single-sensor server:
 //!
 //! * **Sharded event loops.** [`FleetServer::spawn`] starts `shards` worker
-//!   threads; each owns a [`FleetCore`] — connections, per-tenant
-//!   `SessionServer`s, and budgets for its shard — and drains a bounded event
-//!   queue. Sessions route to shards by a hash of their id, so one tenant's
-//!   state never migrates and per-tenant processing stays in order.
+//!   threads; each owns a `FleetCore` — connections, per-tenant
+//!   `SessionServer`s ([`crate::server`]), and budgets for its shard — and
+//!   drains a bounded event queue. Sessions route to shards by a hash of
+//!   their id, so one tenant's state never migrates and per-tenant
+//!   processing stays in order.
 //! * **Push-based framing.** Connections don't get a blocking reader.
 //!   Transport bytes land in a per-connection feed buffer and a wakeup event
 //!   is queued; the shard pumps the connection's [`FrameReader`] until it
@@ -35,14 +36,14 @@
 //!
 //! ### Accounting
 //!
-//! The wire-level partition from the chaos suite still holds per fleet
-//! (all tenants share one collector): `net.frames_intact ==
-//! net.frames_stored + net.frames_deduped + net.frames_gap_dropped +
-//! net.decode_failures`. Shedding happens *after* storage, adding a second
-//! exact partition: `net.frames_stored == drained + resident + shed`.
-//! Substituting gives the fleet-wide exactly-once invariant the fleet-chaos
-//! harness asserts: `frames_intact == durable + deduped + gap_dropped +
-//! decode_failures + shed`, where durable = drained + resident.
+//! Every tenant counts its intact data frames and their outcomes, and the
+//! wire-level partition holds per tenant: `intact == stored + deduped +
+//! gap_dropped + decode_failures`. Shedding happens *after* storage, adding
+//! a second exact partition: `stored == drained + resident + shed`.
+//! Substituting gives the exactly-once invariant the fleet-chaos harness
+//! asserts: `intact == durable + deduped + gap_dropped + decode_failures +
+//! shed`, where durable = drained + resident. With the `metrics` feature the
+//! shared `net.*` counters must equal the sums over tenants.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -57,7 +58,7 @@ use crate::protocol::{
     auth_token_eq, write_frame, AuthToken, Control, FrameReader, NetError, WireFrame,
     DEFAULT_MAX_PAYLOAD, REJECT_BAD_AUTH, REJECT_FLEET_FULL, REJECT_WRONG_SHARD,
 };
-use crate::server::{AnomalyKind, SessionServer, StoredFrame};
+use crate::server::{SessionServer, StoredFrame};
 
 /// Per-tenant authentication table for a fleet: session id → shared-secret
 /// token. When a [`FleetConfig`] carries one, every hello must be a
@@ -487,7 +488,7 @@ struct Tenant {
 }
 
 /// What one shard knew at shutdown; aggregated into [`FleetReport`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TenantReport {
     /// The tenant's wire-v3 session id.
     pub session_id: u64,
@@ -498,7 +499,11 @@ pub struct TenantReport {
     pub resident_frames: Vec<StoredFrame>,
     /// Sequences shed under overload after being acknowledged.
     pub shed: Vec<u32>,
-    /// Replayed frames deduplicated (from the session's anomaly log).
+    /// Data frames that arrived with a valid wire checksum.
+    pub intact: usize,
+    /// Frames accepted in order: `durable` plus `shed`.
+    pub stored: usize,
+    /// Replayed frames deduplicated.
     pub deduped: usize,
     /// Out-of-order frames dropped for go-back-N to re-deliver.
     pub gap_dropped: usize,
@@ -510,18 +515,33 @@ pub struct TenantReport {
 }
 
 impl TenantReport {
-    /// The tenant's share of the fleet partition: intact data frames implied
-    /// by its terminal outcomes. With every client done and the session
-    /// idle, `durable + shed` must cover `0..n` exactly once for exactly-once
-    /// delivery.
-    pub fn implied_intact(&self) -> u64 {
-        (self.durable.len() + self.shed.len() + self.deduped + self.gap_dropped) as u64
-            + self.decode_failures as u64
+    /// Check this tenant's two partitions: every intact frame was stored,
+    /// deduplicated, gap-dropped or a decode failure, and every stored frame
+    /// is durable or shed.
+    fn verify_partition(&self) -> Result<(), String> {
+        let sid = self.session_id;
+        let parts = self.stored + self.deduped + self.gap_dropped + self.decode_failures;
+        if self.intact != parts {
+            return Err(format!(
+                "tenant {sid}: wire partition broken: intact {} != \
+                 stored+deduped+gap_dropped+decode_failures {parts}",
+                self.intact
+            ));
+        }
+        if self.stored != self.durable.len() + self.shed.len() {
+            return Err(format!(
+                "tenant {sid}: storage partition broken: stored {} != durable {} + shed {}",
+                self.stored,
+                self.durable.len(),
+                self.shed.len()
+            ));
+        }
+        Ok(())
     }
 }
 
 /// Aggregated outcome of a fleet run, built by [`FleetServer::shutdown`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FleetReport {
     /// Every tenant the fleet admitted, sorted by session id.
     pub tenants: Vec<TenantReport>,
@@ -552,39 +572,30 @@ impl FleetReport {
         self.tenants.iter().find(|t| t.session_id == session_id)
     }
 
-    /// Check the fleet-wide counter partition (metrics feature only; `Ok`
-    /// when counters were not captured): every intact data frame is exactly
-    /// one of durable, deduplicated, gap-dropped, a decode failure, or shed.
+    /// Check the partitions: per tenant always (see the module docs), and
+    /// with the `metrics` feature also that every `net.*` partition counter
+    /// equals its sum over tenants.
     pub fn verify_partition(&self) -> Result<(), String> {
+        for tenant in &self.tenants {
+            tenant.verify_partition()?;
+        }
         if self.counters.is_empty() {
             return Ok(());
         }
-        let intact = self.counter("net.frames_intact");
-        let stored = self.counter("net.frames_stored");
-        let parts = stored
-            + self.counter("net.frames_deduped")
-            + self.counter("net.frames_gap_dropped")
-            + self.counter("net.decode_failures");
-        if intact != parts {
-            return Err(format!(
-                "wire partition broken: frames_intact {intact} != \
-                 stored+deduped+gap_dropped+decode_failures {parts}"
-            ));
-        }
-        // Storage partition: stored == durable + shed (shed happens after
-        // storage, so `net.frames_shed` must reconcile exactly).
-        let durable: u64 = self.tenants.iter().map(|t| t.durable.len() as u64).sum();
-        let shed: u64 = self.tenants.iter().map(|t| t.shed.len() as u64).sum();
-        if stored != durable + shed {
-            return Err(format!(
-                "storage partition broken: frames_stored {stored} != durable {durable} + shed {shed}"
-            ));
-        }
-        if shed != self.counter("net.frames_shed") {
-            return Err(format!(
-                "shed accounting broken: reported {shed} != net.frames_shed {}",
-                self.counter("net.frames_shed")
-            ));
+        let sum = |f: fn(&TenantReport) -> usize| -> u64 {
+            self.tenants.iter().map(|t| f(t) as u64).sum()
+        };
+        for (name, want) in [
+            ("net.frames_intact", sum(|t| t.intact)),
+            ("net.frames_stored", sum(|t| t.stored)),
+            ("net.frames_deduped", sum(|t| t.deduped)),
+            ("net.frames_gap_dropped", sum(|t| t.gap_dropped)),
+            ("net.decode_failures", sum(|t| t.decode_failures)),
+            ("net.frames_shed", sum(|t| t.shed.len())),
+        ] {
+            if self.counter(name) != want {
+                return Err(format!("{name} {} != {want} summed over tenants", self.counter(name)));
+            }
         }
         Ok(())
     }
@@ -787,7 +798,7 @@ impl FleetCore {
                 self.reject(conn_id, session_id, REJECT_FLEET_FULL);
                 return;
             }
-            let server = SessionServer::new(self.config.decompress);
+            let server = SessionServer::new(session_id, self.config.decompress);
             #[cfg(feature = "metrics")]
             let server = server.with_metrics(&self.shared.collector);
             self.tenants.insert(
@@ -805,20 +816,16 @@ impl FleetCore {
         let Some(conn) = self.conns.get_mut(&conn_id) else { return };
         conn.tenant = Some(session_id);
         let tenant = self.tenants.get_mut(&session_id).expect("tenant just ensured");
-        // The session machine handles the hello itself (reconnect counters,
-        // ahead-of-cursor gap records) and sends the handshake ack. The
-        // token, if any, is stripped here: below the fleet edge both hello
-        // forms are byte-identically the same plain hello.
-        let hello = Control::Hello { session_id, last_acked }.to_frame();
-        let _ = tenant.server.handle_frame(hello, &mut conn.ack);
+        // The session machine counts the hello (reconnects, an ack floor
+        // ahead of its cursor) and sends the handshake ack.
+        tenant.server.hello(last_acked, &mut conn.ack);
     }
 
     fn handle_data(&mut self, conn_id: u64, session_id: u64, wire: WireFrame) {
         let payload_len = wire.payload.len() as u64;
         let Some(conn) = self.conns.get_mut(&conn_id) else { return };
         let Some(tenant) = self.tenants.get_mut(&session_id) else { return };
-        let stored = tenant.server.handle_frame(wire, &mut conn.ack).unwrap_or(false);
-        if stored {
+        if tenant.server.data(wire, &mut conn.ack) {
             tenant.resident_bytes += payload_len;
             self.shared.fleet_bytes.fetch_add(payload_len, Ordering::SeqCst);
             self.enforce_budgets(session_id);
@@ -953,21 +960,12 @@ impl FleetCore {
     /// resident.
     fn close_tenant(
         session_id: u64,
-        tenant: Tenant,
+        mut tenant: Tenant,
         hand_off: bool,
     ) -> (TenantReport, Vec<StoredFrame>) {
-        let (mut deduped, mut gap_dropped) = (0usize, 0usize);
-        for a in tenant.server.anomalies() {
-            match a.kind {
-                AnomalyKind::Duplicate => deduped += 1,
-                AnomalyKind::Gap => gap_dropped += 1,
-            }
-        }
-        let decode_failures =
-            tenant.server.dropped().iter().filter(|d| d.bytes_skipped == 0).count();
-        let resyncs = tenant.server.dropped().iter().filter(|d| d.bytes_skipped > 0).count();
+        let counts = tenant.server.counts();
         let mut durable = tenant.drained_seqs;
-        let frames = tenant.server.into_frames();
+        let frames = tenant.server.drain_frames();
         durable.extend(frames.iter().map(|f| f.sequence));
         let (resident_frames, handed_off) =
             if hand_off { (Vec::new(), frames) } else { (frames, Vec::new()) };
@@ -976,10 +974,12 @@ impl FleetCore {
             durable,
             resident_frames,
             shed: tenant.shed_seqs,
-            deduped,
-            gap_dropped,
-            decode_failures,
-            resyncs,
+            intact: counts.intact,
+            stored: counts.stored,
+            deduped: counts.deduped,
+            gap_dropped: counts.gap_dropped,
+            decode_failures: counts.decode_failures,
+            resyncs: counts.resyncs,
         };
         (report, handed_off)
     }
@@ -1414,5 +1414,63 @@ mod tests {
         assert_eq!(t.durable, vec![0, 1], "frames on both sides of the garbage stored");
         assert_eq!(t.resyncs, 1);
         report.verify_partition().unwrap();
+    }
+
+    #[test]
+    fn hello_ahead_of_cursor_drops_no_frame() {
+        // Regression: a client ack floor ahead of a fresh tenant's cursor
+        // used to be reported as a gap-dropped frame although none was.
+        let fleet = FleetServer::spawn(FleetConfig::new(1));
+        let handle = fleet.handle();
+        let (mut tx, _acks) = handle.connect(90).unwrap();
+        write_frame(&mut tx, &Control::Hello { session_id: 90, last_acked: 3 }.to_frame()).unwrap();
+        write_frame(&mut tx, &WireFrame { sequence: 0, payload: vec![5; 16] }).unwrap();
+        handle.sync();
+        drop(tx);
+        let report = fleet.shutdown();
+        let t = report.tenant(90).expect("tenant admitted");
+        assert_eq!(t.durable, vec![0]);
+        assert_eq!((t.intact, t.stored, t.deduped, t.gap_dropped), (1, 1, 0, 0));
+        report.verify_partition().unwrap();
+        #[cfg(feature = "metrics")]
+        for (name, want) in [
+            ("net.frames_deduped", t.deduped),
+            ("net.frames_gap_dropped", t.gap_dropped),
+            ("net.decode_failures", t.decode_failures),
+            ("net.resyncs", t.resyncs),
+            ("net.seq_gaps", 1), // the ahead-of-cursor hello is still seen
+        ] {
+            assert_eq!(report.counter(name), want as u64, "{name}");
+        }
+    }
+
+    /// A one-frame tenant report with the given wire and storage counts.
+    fn tenant_report(intact: usize, stored: usize) -> TenantReport {
+        TenantReport { session_id: 1, durable: vec![0], intact, stored, ..TenantReport::default() }
+    }
+
+    #[test]
+    fn partition_is_checked_without_counters() {
+        // A tenant whose outcomes do not add up fails the check on its own
+        // counts, whether or not `net.*` counters were captured.
+        let wire_err = tenant_report(2, 1).verify_partition().unwrap_err();
+        assert!(wire_err.contains("wire partition"), "{wire_err}");
+        let storage_err = tenant_report(2, 2).verify_partition().unwrap_err();
+        assert!(storage_err.contains("storage partition"), "{storage_err}");
+    }
+
+    #[test]
+    fn net_counters_must_match_tenant_sums() {
+        // Captured `net.*` counters that disagree with the tenants' own
+        // counts (a frame counted on the wire that no tenant accounts for)
+        // break the partition even when every tenant balances.
+        let mut report = FleetReport {
+            tenants: vec![tenant_report(1, 1)],
+            counters: vec![("net.frames_intact".into(), 1), ("net.frames_stored".into(), 1)],
+            ..FleetReport::default()
+        };
+        report.verify_partition().unwrap();
+        report.counters[0].1 = 2;
+        assert!(report.verify_partition().unwrap_err().contains("net.frames_intact"));
     }
 }

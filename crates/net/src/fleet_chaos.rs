@@ -1,20 +1,23 @@
-//! The fleet-scale chaos harness: N resilient clients over seeded faulty
-//! links into **one** [`FleetServer`], replayable from a single seed.
+//! The chaos harness: N resilient clients over seeded faulty links into
+//! **one** [`FleetServer`], replayable from a single seed.
 //!
 //! [`run_fleet_chaos`] derives one sub-seed per tenant (payloads, fault
 //! schedule, and backoff jitter are all functions of it), drives every
 //! client on its own thread, optionally drains the archive path on a cadence
 //! while the storm runs, and folds the shutdown [`FleetReport`] plus every
-//! drained frame into a [`FleetChaosReport`].
+//! drained frame into a [`FleetChaosReport`]. [`run_fleet_chaos_with_schedule`]
+//! drives a one-tenant config through an explicit [`FaultSchedule`]: since
+//! schedules serialize to bytes, that is the fuzzer's wire-fault mode, where
+//! a mutated corpus file becomes a schedule via [`FaultSchedule::from_bytes`].
 //!
-//! The fleet-wide invariant ([`FleetChaosReport::verify`]) extends the
-//! single-client chaos contract to many tenants under load shedding: for
-//! every tenant, `durable ∪ shed` covers `0..frames` **exactly once**,
-//! durable sequences are strictly in order with byte-intact payloads, and
-//! the shared counters partition twice — on the wire as `frames_intact ==
-//! stored + deduped + gap_dropped + decode_failures`, in storage as
-//! `stored == durable + shed` — which together give the headline identity
-//! `frames_intact == durable + deduped + gap_dropped + decode_failures + shed`.
+//! The invariant ([`FleetChaosReport::verify`]): for every tenant, `durable ∪
+//! shed` covers `0..frames` **exactly once**, durable sequences are strictly
+//! in order with byte-intact payloads, and the outcomes partition twice — on
+//! the wire as `intact == stored + deduped + gap_dropped + decode_failures`,
+//! in storage as `stored == durable + shed` — which together give the
+//! headline identity `intact == durable + deduped + gap_dropped +
+//! decode_failures + shed`. [`FleetChaosReport::verify_safety`] is the subset
+//! that must hold even when a client runs out of retries.
 
 use std::io::{self, Read, Write};
 use std::net::SocketAddr;
@@ -31,12 +34,23 @@ use crate::server::StoredFrame;
 use crate::session::{Connect, ResilientClient, SessionConfig, SessionStats};
 use crate::tcp::{TcpConnector, TcpFleetServer, TcpTuning};
 
-pub use crate::chaos::chaos_payload;
+/// Deterministic payload for frame `index` of a run: content is a function
+/// of (seed, index) so the server side can be checked byte-for-byte.
+pub fn chaos_payload(seed: u64, index: usize, len: usize) -> Vec<u8> {
+    let mut rng = SplitMix64(seed ^ 0xC0DE_0000_0000_0000 ^ (index as u64).wrapping_mul(0x9E37));
+    let mut out = Vec::with_capacity(len.max(4));
+    out.extend_from_slice(&(index as u32).to_le_bytes());
+    while out.len() < len.max(4) {
+        out.extend_from_slice(&rng.next().to_le_bytes());
+    }
+    out.truncate(len.max(4));
+    out
+}
 
 /// Which transport carries the chaos storm into the fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetTransport {
-    /// PR 8's push-based in-memory feeds ([`FleetHandle::connect`]).
+    /// Push-based in-memory feeds ([`FleetHandle::connect`]).
     InProcess,
     /// Real loopback sockets through [`TcpFleetServer`]: the same seeded
     /// [`FaultyLink`] schedules applied at the socket layer, so mid-stream
@@ -115,6 +129,31 @@ impl FleetChaosConfig {
         }
     }
 
+    /// The smoke shape under heavy corruption and repeated disconnects.
+    pub fn hostile(seed: u64) -> FleetChaosConfig {
+        FleetChaosConfig { profile: FaultProfile::hostile(), ..FleetChaosConfig::smoke(seed) }
+    }
+
+    /// One tenant on one shard with tight deadlines, for the fuzzer's
+    /// wire-fault mode: arbitrary mutated schedules must complete (or give
+    /// up) within the fuzz case watchdog. Pair with
+    /// [`FleetChaosReport::verify_safety`]: hostile schedules may
+    /// legitimately exhaust the retry budget.
+    pub fn fuzz(seed: u64) -> FleetChaosConfig {
+        let mut retry = RetryPolicy::fast_test();
+        retry.max_retries = 6;
+        FleetChaosConfig {
+            tenants: 1,
+            frames_per_tenant: 6,
+            payload_len: 160,
+            shards: 1,
+            profile: FaultProfile::hostile(),
+            send_timeout: Duration::from_millis(40),
+            retry,
+            ..FleetChaosConfig::smoke(seed)
+        }
+    }
+
     /// The smoke shape over loopback TCP with auth enforced and one of each
     /// hostile extra: a bad-auth prober and an oversize smuggler.
     pub fn tcp_smoke(seed: u64) -> FleetChaosConfig {
@@ -187,6 +226,13 @@ impl FleetChaosConfig {
         fleet
     }
 
+    /// The first tenant's derived schedule: what a one-tenant run injects
+    /// unless [`run_fleet_chaos_with_schedule`] supplies one.
+    pub fn schedule(&self) -> FaultSchedule {
+        let (_, sub_seed) = self.tenant_plan().first().copied().unwrap_or_default();
+        self.schedule_for(sub_seed)
+    }
+
     fn schedule_for(&self, sub_seed: u64) -> FaultSchedule {
         // Faults spread over one clean transmission of the tenant's stream
         // (headers + hello slack); retransmitted bytes past that run clean.
@@ -204,8 +250,17 @@ pub struct TenantOutcome {
     pub sub_seed: u64,
     /// Session stats, or the typed error the client gave up with.
     pub client: Result<SessionStats, String>,
-    /// Fault events the tenant's schedule actually applied.
-    pub faults_applied: u64,
+    /// Fault events the tenant's schedule actually applied, per kind in
+    /// [`crate::fault::FaultEvent`] declaration order (bit-flip, drop,
+    /// disconnect, stall, duplicate, reorder, collapse).
+    pub faults_by_kind: [u64; 7],
+}
+
+impl TenantOutcome {
+    /// Fault events applied, all kinds.
+    pub fn faults_applied(&self) -> u64 {
+        self.faults_by_kind.iter().sum()
+    }
 }
 
 /// The TCP edge's connection ledger, present on `Tcp`-transport runs.
@@ -245,69 +300,22 @@ pub struct FleetChaosReport {
 }
 
 impl FleetChaosReport {
-    /// Check the fleet-wide exactly-once invariant; `Err` names the first
-    /// violation (prefixed with the offending seed for replay).
+    /// Check the exactly-once invariant; `Err` names the first violation
+    /// (prefixed with the offending seed for replay).
     pub fn verify(&self) -> Result<(), String> {
-        let frames = self.frames_per_tenant as u32;
         for outcome in &self.outcomes {
             let sid = outcome.session_id;
             if let Err(e) = &outcome.client {
                 return Err(format!("seed {}: tenant {sid} client failed: {e}", self.seed));
             }
-            let tenant = self
-                .fleet
-                .tenant(sid)
-                .ok_or_else(|| format!("seed {}: tenant {sid} missing from fleet", self.seed))?;
-            if !tenant.durable.windows(2).all(|w| w[0] < w[1]) {
+            let delivered = self.fleet.tenant(sid).map_or(0, |t| t.durable.len() + t.shed.len());
+            if delivered != self.frames_per_tenant {
                 return Err(format!(
-                    "seed {}: tenant {sid} durable {:?} is not strictly in order",
-                    self.seed, tenant.durable
+                    "seed {}: tenant {sid} holds {delivered} of {} frames",
+                    self.seed, self.frames_per_tenant
                 ));
             }
-            let mut all: Vec<u32> =
-                tenant.durable.iter().chain(tenant.shed.iter()).copied().collect();
-            all.sort_unstable();
-            if all != (0..frames).collect::<Vec<u32>>() {
-                return Err(format!(
-                    "seed {}: tenant {sid} durable∪shed {:?} != 0..{frames} exactly once \
-                     (durable {:?}, shed {:?})",
-                    self.seed, all, tenant.durable, tenant.shed
-                ));
-            }
-            for frame in &tenant.resident_frames {
-                let want =
-                    chaos_payload(outcome.sub_seed, frame.sequence as usize, self.payload_len);
-                if frame.bytes != want {
-                    return Err(format!(
-                        "seed {}: tenant {sid} frame {} bytes differ from what was sent",
-                        self.seed, frame.sequence
-                    ));
-                }
-            }
         }
-        for (sid, frames) in &self.drained {
-            let sub_seed = self
-                .outcomes
-                .iter()
-                .find(|o| o.session_id == *sid)
-                .map(|o| o.sub_seed)
-                .or_else(|| {
-                    self.oversize_outcomes.iter().find(|(s, ..)| s == sid).map(|(_, ss, _)| *ss)
-                })
-                .ok_or_else(|| {
-                    format!("seed {}: drained frames for unknown tenant {sid}", self.seed)
-                })?;
-            for frame in frames {
-                let want = chaos_payload(sub_seed, frame.sequence as usize, self.payload_len);
-                if frame.bytes != want {
-                    return Err(format!(
-                        "seed {}: tenant {sid} drained frame {} bytes differ",
-                        self.seed, frame.sequence
-                    ));
-                }
-            }
-        }
-        self.verify_hostiles()?;
         if self.fleet.tenants.len() != self.outcomes.len() + self.oversize_outcomes.len() {
             return Err(format!(
                 "seed {}: fleet saw {} tenants, run drove {} (+{} oversize)",
@@ -317,6 +325,54 @@ impl FleetChaosReport {
                 self.oversize_outcomes.len()
             ));
         }
+        self.verify_safety()
+    }
+
+    /// The safety subset of [`FleetChaosReport::verify`]: whatever the
+    /// clients managed (one may have exhausted its retry budget against a
+    /// sufficiently hostile schedule), every tenant holds an exactly-once,
+    /// in-order prefix `0..k` of what it sent, with intact bytes, and the
+    /// partitions hold. This is the contract the fuzzer's arbitrary mutated
+    /// schedules are held to.
+    pub fn verify_safety(&self) -> Result<(), String> {
+        let frames = self.frames_per_tenant as u32;
+        for outcome in &self.outcomes {
+            let sid = outcome.session_id;
+            // A tenant whose every hello was destroyed was never admitted.
+            let Some(tenant) = self.fleet.tenant(sid) else { continue };
+            if !tenant.durable.windows(2).all(|w| w[0] < w[1]) {
+                return Err(format!(
+                    "seed {}: tenant {sid} durable {:?} is not strictly in order",
+                    self.seed, tenant.durable
+                ));
+            }
+            let mut all: Vec<u32> =
+                tenant.durable.iter().chain(tenant.shed.iter()).copied().collect();
+            all.sort_unstable();
+            if all.len() > frames as usize || all != (0..all.len() as u32).collect::<Vec<u32>>() {
+                return Err(format!(
+                    "seed {}: tenant {sid} durable∪shed {all:?} is not an exactly-once \
+                     prefix of 0..{frames} (durable {:?}, shed {:?})",
+                    self.seed, tenant.durable, tenant.shed
+                ));
+            }
+        }
+        // Every frame any tenant still holds or handed over is byte-intact.
+        let resident = self.fleet.tenants.iter().map(|t| (t.session_id, &t.resident_frames));
+        for (sid, frames) in resident.chain(self.drained.iter().map(|(sid, f)| (*sid, f))) {
+            let sub_seed = self.sub_seed(sid).ok_or_else(|| {
+                format!("seed {}: frames held for unknown tenant {sid}", self.seed)
+            })?;
+            let want =
+                |f: &StoredFrame| chaos_payload(sub_seed, f.sequence as usize, self.payload_len);
+            if let Some(frame) = frames.iter().find(|f| f.bytes != want(f)) {
+                return Err(format!(
+                    "seed {}: tenant {sid} frame {} bytes differ from what was sent",
+                    self.seed, frame.sequence
+                ));
+            }
+        }
+        self.verify_hostiles()?;
         if self.fleet.admission_rejects != 0 {
             return Err(format!(
                 "seed {}: {} admission rejects with cap == tenant count",
@@ -352,7 +408,7 @@ impl FleetChaosReport {
                 self.bad_auth_outcomes.len()
             ));
         }
-        for (sid, sub_seed, result) in &self.oversize_outcomes {
+        for (sid, _, result) in &self.oversize_outcomes {
             if let Err(e) = result {
                 return Err(format!("seed {}: oversize client {sid}: {e}", self.seed));
             }
@@ -374,24 +430,22 @@ impl FleetChaosReport {
                     self.seed
                 ));
             }
-            for frame in &tenant.resident_frames {
-                let want = chaos_payload(*sub_seed, frame.sequence as usize, self.payload_len);
-                if frame.bytes != want {
-                    return Err(format!(
-                        "seed {}: oversize tenant {sid} frame {} bytes differ",
-                        self.seed, frame.sequence
-                    ));
-                }
-            }
         }
         Ok(())
+    }
+
+    /// The sub-seed whose payloads `session_id` sent (tenant or smuggler).
+    fn sub_seed(&self, session_id: u64) -> Option<u64> {
+        let tenants = self.outcomes.iter().map(|o| (o.session_id, o.sub_seed));
+        let smugglers = self.oversize_outcomes.iter().map(|(sid, sub_seed, _)| (*sid, *sub_seed));
+        tenants.chain(smugglers).find(|(sid, _)| *sid == session_id).map(|(_, sub_seed)| sub_seed)
     }
 
     /// One-line human summary for recovery reports.
     pub fn summary(&self) -> String {
         let durable: usize = self.fleet.tenants.iter().map(|t| t.durable.len()).sum();
         let shed: usize = self.fleet.tenants.iter().map(|t| t.shed.len()).sum();
-        let faults: u64 = self.outcomes.iter().map(|o| o.faults_applied).sum();
+        let faults: u64 = self.outcomes.iter().map(TenantOutcome::faults_applied).sum();
         let failed = self.outcomes.iter().filter(|o| o.client.is_err()).count();
         let conns = match self.conns {
             Some(c) => format!(", tcp conns {}/{} reaped", c.reaped, c.accepted),
@@ -570,6 +624,22 @@ fn run_oversize_client(
 /// Drive one full fleet-chaos run: spawn the fleet, storm it with every
 /// tenant concurrently, settle, shut down, and report.
 pub fn run_fleet_chaos(config: &FleetChaosConfig) -> FleetChaosReport {
+    run(config, None)
+}
+
+/// [`run_fleet_chaos`] for a one-tenant `config`, with `schedule` injected
+/// on the tenant's link in place of the derived one. Never panics on any
+/// schedule (hostile ones are clamped by the fault layer's budgets); panics
+/// if `config.tenants != 1`.
+pub fn run_fleet_chaos_with_schedule(
+    config: &FleetChaosConfig,
+    schedule: FaultSchedule,
+) -> FleetChaosReport {
+    assert_eq!(config.tenants, 1, "an explicit schedule drives a one-tenant config");
+    run(config, Some(schedule))
+}
+
+fn run(config: &FleetChaosConfig, mut schedule: Option<FaultSchedule>) -> FleetChaosReport {
     assert!(
         config.bad_auth_clients == 0 || config.auth_secret.is_some(),
         "bad_auth_clients without auth_secret would be admitted as normal tenants"
@@ -600,7 +670,8 @@ pub fn run_fleet_chaos(config: &FleetChaosConfig) -> FleetChaosReport {
         .into_iter()
         .map(|(session_id, sub_seed)| {
             let edge = edge.clone();
-            let state = config.schedule_for(sub_seed).into_state();
+            let state =
+                schedule.take().unwrap_or_else(|| config.schedule_for(sub_seed)).into_state();
             let frames = config.frames_per_tenant;
             let payload_len = config.payload_len;
             let mut session = SessionConfig::fast_test(session_id);
@@ -629,12 +700,12 @@ pub fn run_fleet_chaos(config: &FleetChaosConfig) -> FleetChaosReport {
                 } else {
                     drop(client);
                 }
-                let faults_applied = state.lock().expect("fault state").events_applied();
+                let faults_by_kind = state.lock().expect("fault state").applied_by_kind();
                 TenantOutcome {
                     session_id,
                     sub_seed,
                     client: result.map_err(|e| e.to_string()),
-                    faults_applied,
+                    faults_by_kind,
                 }
             })
         })
@@ -718,6 +789,56 @@ fn merge_drained(into: &mut Vec<(u64, Vec<StoredFrame>)>, batch: Vec<(u64, Vec<S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultEvent;
+
+    fn one_tenant(seed: u64) -> FleetChaosConfig {
+        FleetChaosConfig { tenants: 1, ..FleetChaosConfig::smoke(seed) }
+    }
+
+    #[test]
+    fn clean_schedule_delivers_everything_first_try() {
+        let report = run_fleet_chaos_with_schedule(&one_tenant(1), FaultSchedule::empty());
+        report.verify().unwrap_or_else(|e| panic!("{e}\n{}", report.summary()));
+        let outcome = &report.outcomes[0];
+        assert_eq!(outcome.faults_applied(), 0);
+        assert_eq!(report.fleet.tenants[0].resyncs, 0);
+        let stats = outcome.client.as_ref().unwrap();
+        assert_eq!(stats.reconnects, 0);
+        assert_eq!(stats.retransmits, 0);
+    }
+
+    #[test]
+    fn lossy_schedule_recovers_every_frame() {
+        // Seed 3 applies a representative mix of faults; recovery must be
+        // total. (The sweeps live in tests/chaos.rs and tests/fleet_chaos.rs.)
+        let report = run_fleet_chaos(&one_tenant(3));
+        report.verify().unwrap_or_else(|e| panic!("{e}\n{}", report.summary()));
+        assert!(report.outcomes[0].faults_applied() > 0, "schedule was not a no-op");
+    }
+
+    #[test]
+    fn safety_holds_when_the_client_runs_out_of_retries() {
+        // Three frames get through, then every connection is cut: the client
+        // gives up, so `verify` fails, but what the tenant holds must still
+        // be an intact, exactly-once prefix.
+        let config = FleetChaosConfig::fuzz(5);
+        let cut_from = (20 + 13 + 3 * (20 + config.payload_len)) as u64;
+        let cuts = (0..400).map(|k| FaultEvent::Disconnect { at: cut_from + 8 * k }).collect();
+        let report = run_fleet_chaos_with_schedule(&config, FaultSchedule::from_events(cuts));
+        assert!(report.outcomes[0].client.is_err(), "{}", report.summary());
+        assert!(report.verify().is_err());
+        report.verify_safety().unwrap_or_else(|e| panic!("{e}\n{}", report.summary()));
+        let durable = &report.fleet.tenants[0].durable;
+        assert!(!durable.is_empty() && durable.len() < config.frames_per_tenant, "{durable:?}");
+    }
+
+    #[test]
+    fn payload_generator_is_deterministic_and_distinct() {
+        assert_eq!(chaos_payload(5, 2, 100), chaos_payload(5, 2, 100));
+        assert_ne!(chaos_payload(5, 2, 100), chaos_payload(5, 3, 100));
+        assert_ne!(chaos_payload(6, 2, 100), chaos_payload(5, 2, 100));
+        assert_eq!(chaos_payload(1, 0, 0).len(), 4, "sequence prefix always present");
+    }
 
     #[test]
     fn clean_fleet_delivers_every_tenant() {
@@ -735,7 +856,7 @@ mod tests {
         let report = run_fleet_chaos(&FleetChaosConfig::smoke(11));
         report.verify().unwrap_or_else(|e| panic!("{e}\n{}", report.summary()));
         assert!(
-            report.outcomes.iter().map(|o| o.faults_applied).sum::<u64>() > 0,
+            report.outcomes.iter().map(TenantOutcome::faults_applied).sum::<u64>() > 0,
             "schedules were not a no-op"
         );
     }

@@ -127,99 +127,6 @@ impl Read for PipeReader {
     }
 }
 
-/// A watchdog `Read` wrapper: fails with `io::ErrorKind::TimedOut` when the
-/// underlying transport delivers no bytes within `timeout`, instead of
-/// blocking forever on a stalled peer.
-///
-/// The inner reader is pumped on a helper thread (generic `Read` has no
-/// native timeout), so `R: Send + 'static`. The typed error surfaces as
-/// [`crate::NetError::Timeout`] through the `From<io::Error>` conversion, so
-/// a server wrapped as `Server::new(TimedReader::new(r, d), …)` fails a
-/// stalled stream with `NetError::Timeout`.
-///
-/// If the wrapper is dropped while the inner read is still blocked, the
-/// helper thread lingers until that read completes or errors — bounded in
-/// practice by the peer closing, and by reconnect counts in the chaos
-/// harness.
-#[derive(Debug)]
-pub struct TimedReader {
-    rx: Receiver<io::Result<Vec<u8>>>,
-    buf: Vec<u8>,
-    pos: usize,
-    timeout: Duration,
-    eof: bool,
-}
-
-impl TimedReader {
-    /// Wrap `inner`, budgeting `timeout` per read before declaring a stall.
-    pub fn new<R: Read + Send + 'static>(mut inner: R, timeout: Duration) -> TimedReader {
-        let (tx, rx) = sync_channel::<io::Result<Vec<u8>>>(4);
-        std::thread::Builder::new()
-            .name("dbgc-net-timed-reader".into())
-            .spawn(move || {
-                let mut chunk = [0u8; 8192];
-                loop {
-                    match inner.read(&mut chunk) {
-                        Ok(0) => {
-                            let _ = tx.send(Ok(Vec::new()));
-                            return;
-                        }
-                        Ok(n) => {
-                            if tx.send(Ok(chunk[..n].to_vec())).is_err() {
-                                return; // wrapper dropped
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(e) => {
-                            let _ = tx.send(Err(e));
-                            return;
-                        }
-                    }
-                }
-            })
-            .expect("spawn timed-reader pump");
-        TimedReader { rx, buf: Vec::new(), pos: 0, timeout, eof: false }
-    }
-}
-
-impl Read for TimedReader {
-    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-        while self.pos == self.buf.len() {
-            if self.eof {
-                return Ok(0);
-            }
-            match self.rx.recv_timeout(self.timeout) {
-                Ok(Ok(chunk)) if chunk.is_empty() => {
-                    self.eof = true;
-                    return Ok(0);
-                }
-                Ok(Ok(chunk)) => {
-                    self.buf = chunk;
-                    self.pos = 0;
-                }
-                Ok(Err(e)) => {
-                    self.eof = true;
-                    return Err(e);
-                }
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        format!("no bytes within {:?}", self.timeout),
-                    ));
-                }
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                    self.eof = true;
-                    return Ok(0);
-                }
-            }
-        }
-        let n = (self.buf.len() - self.pos).min(out.len());
-        out[..n].copy_from_slice(&self.buf[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,31 +163,6 @@ mod tests {
         r.read_to_end(&mut got).unwrap();
         handle.join().unwrap();
         assert_eq!(got, data);
-    }
-
-    #[test]
-    fn timed_reader_passes_data_and_eof() {
-        let (mut w, r) = throttled_pipe(None);
-        let mut timed = TimedReader::new(r, Duration::from_secs(5));
-        let handle = std::thread::spawn(move || {
-            w.write_all(b"some bytes").unwrap();
-        });
-        let mut got = Vec::new();
-        timed.read_to_end(&mut got).unwrap();
-        handle.join().unwrap();
-        assert_eq!(got, b"some bytes");
-        let mut more = [0u8; 4];
-        assert_eq!(timed.read(&mut more).unwrap(), 0, "EOF is sticky");
-    }
-
-    #[test]
-    fn timed_reader_raises_timeout_on_stall() {
-        let (w, r) = throttled_pipe(None);
-        let mut timed = TimedReader::new(r, Duration::from_millis(30));
-        let mut buf = [0u8; 16];
-        let err = timed.read(&mut buf).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
-        drop(w);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! same code drives TCP sockets, in-memory pipes, and files.
 //!
 //! Corruption handling: [`read_frame`] fails fast with a typed error;
-//! [`read_frame_resync`] additionally scans forward for the next wire magic
-//! so a stream survives one corrupt frame instead of desyncing — the damaged
-//! frame is dropped and the skipped byte count reported to the caller.
+//! [`FrameReader`] scans forward for the next verifiable frame so a stream
+//! survives corruption instead of desyncing — damaged frames are dropped and
+//! the skipped byte count reported to the caller.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -26,8 +26,7 @@ const WIRE_MAGIC: [u8; 4] = *b"DBGF";
 pub const DEFAULT_MAX_PAYLOAD: u64 = 8 << 20;
 
 /// Sequence number reserved for wire-v3 control frames ([`Control`]). Data
-/// frames never use it; v2 peers that ignore control frames simply see an
-/// odd sequence number and keep decoding.
+/// frames never use it.
 pub const CONTROL_SEQUENCE: u32 = u32::MAX;
 
 /// A framed message: a compressed point cloud plus its sequence number.
@@ -55,10 +54,9 @@ pub enum NetError {
     },
     /// Clean end of stream between frames.
     Closed,
-    /// A stalled peer exceeded its deadline: no bytes (or no acknowledgement
-    /// progress) within the configured budget. Raised by watchdogs like
-    /// [`crate::link::TimedReader`] and the resilient client instead of
-    /// hanging forever.
+    /// A stalled peer exceeded its deadline: no acknowledgement progress
+    /// within the configured budget. Raised by the resilient client instead
+    /// of hanging forever.
     Timeout,
     /// A retry budget was exhausted without the operation succeeding.
     RetriesExhausted {
@@ -121,12 +119,11 @@ impl From<io::Error> for NetError {
 /// Wire-v3 control frames, carried as ordinary checksummed frames with the
 /// reserved sequence [`CONTROL_SEQUENCE`] and a one-byte tag prefix.
 ///
-/// v3 is negotiated, never required: a client that sends no [`Control::Hello`]
-/// speaks plain v2 and the server behaves exactly as before. Once a hello is
-/// seen the connection is a *session*: the server deduplicates replayed
-/// sequences, drops out-of-order arrivals (the client retransmits them in
-/// order), and acknowledges progress so the client can bound its in-flight
-/// window.
+/// Every connection opens with a [`Control::Hello`] (data frames sent before
+/// one are dropped). The hello makes the connection part of a *session*: the
+/// server deduplicates replayed sequences, drops out-of-order arrivals (the
+/// client retransmits them in order), and acknowledges progress so the
+/// client can bound its in-flight window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Control {
     /// Client → server, first frame after (re)connecting.
@@ -318,8 +315,24 @@ pub fn write_frame(w: &mut impl Write, frame: &WireFrame) -> Result<(), NetError
     Ok(())
 }
 
-/// Read and verify the frame body after the magic: header fields + payload.
-fn read_frame_body(r: &mut impl Read, max_payload: u64) -> Result<WireFrame, NetError> {
+/// Read one frame; returns [`NetError::Closed`] on a clean EOF at a frame
+/// boundary. Fails fast on corruption — see [`FrameReader`] for the
+/// skip-and-continue reader.
+pub fn read_frame(r: &mut impl Read) -> Result<WireFrame, NetError> {
+    read_frame_with_limit(r, DEFAULT_MAX_PAYLOAD)
+}
+
+/// [`read_frame`] with an explicit payload sanity bound.
+pub fn read_frame_with_limit(r: &mut impl Read, max_payload: u64) -> Result<WireFrame, NetError> {
+    let mut magic = [0u8; 4];
+    match r.read_exact(&mut magic) {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Err(NetError::Closed),
+        Err(e) => return Err(e.into()),
+    }
+    if magic != WIRE_MAGIC {
+        return Err(NetError::BadMagic);
+    }
     let mut buf4 = [0u8; 4];
     r.read_exact(&mut buf4)?;
     let sequence = u32::from_le_bytes(buf4);
@@ -347,83 +360,10 @@ fn read_frame_body(r: &mut impl Read, max_payload: u64) -> Result<WireFrame, Net
     Ok(WireFrame { sequence, payload })
 }
 
-/// Read one frame; returns [`NetError::Closed`] on a clean EOF at a frame
-/// boundary. Fails fast on corruption — see [`read_frame_resync`] for the
-/// skip-and-continue variant.
-pub fn read_frame(r: &mut impl Read) -> Result<WireFrame, NetError> {
-    read_frame_with_limit(r, DEFAULT_MAX_PAYLOAD)
-}
-
-/// [`read_frame`] with an explicit payload sanity bound.
-pub fn read_frame_with_limit(r: &mut impl Read, max_payload: u64) -> Result<WireFrame, NetError> {
-    let mut magic = [0u8; 4];
-    match r.read_exact(&mut magic) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Err(NetError::Closed),
-        Err(e) => return Err(e.into()),
-    }
-    if magic != WIRE_MAGIC {
-        return Err(NetError::BadMagic);
-    }
-    read_frame_body(r, max_payload)
-}
-
-/// Read the next verifiable frame, resynchronizing past corruption.
-///
-/// Scans forward for the wire magic, then reads and checksums the candidate
-/// frame; on a checksum or length failure the candidate is discarded and the
-/// scan continues. Returns the frame plus the number of corrupt bytes skipped
-/// over (0 on a clean stream). Returns [`NetError::Closed`] once the stream
-/// ends, even if trailing corrupt bytes were discarded first.
-///
-/// **Limitation:** a failed candidate's body bytes are consumed, so a real
-/// frame whose magic sits *inside* that body is lost — the function survives
-/// one corrupt region, not arbitrary damage. [`FrameReader`] keeps a pushback
-/// buffer and rescans discarded candidate bytes, recovering every verifiable
-/// frame; prefer it for anything long-running.
-pub fn read_frame_resync(r: &mut impl Read) -> Result<(WireFrame, u64), NetError> {
-    let mut skipped = 0u64;
-    let mut window = [0u8; 4];
-    let mut have = 0usize;
-    loop {
-        while have < 4 {
-            let mut b = [0u8; 1];
-            match r.read(&mut b) {
-                Ok(0) => return Err(NetError::Closed),
-                Ok(_) => {
-                    window[have] = b[0];
-                    have += 1;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            }
-        }
-        if window == WIRE_MAGIC {
-            match read_frame_body(r, DEFAULT_MAX_PAYLOAD) {
-                Ok(frame) => return Ok((frame, skipped)),
-                Err(NetError::ChecksumMismatch { .. }) | Err(NetError::OversizedFrame(_)) => {
-                    // Discard the candidate (its body bytes are already
-                    // consumed) and keep scanning from the current position.
-                    skipped += 4;
-                    have = 0;
-                }
-                Err(NetError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                    return Err(NetError::Closed);
-                }
-                Err(e) => return Err(e),
-            }
-        } else {
-            window.rotate_left(1);
-            have = 3;
-            skipped += 1;
-        }
-    }
-}
-
 /// A stateful, resynchronizing frame reader with bounded memory.
 ///
-/// Unlike the free [`read_frame_resync`], discarded candidate bytes are kept
-/// in a pushback buffer and rescanned, so the reader recovers every
+/// Discarded candidate bytes are kept in a pushback buffer and rescanned, so
+/// the reader recovers every
 /// verifiable frame in the stream no matter how corruption falls: magics
 /// split across transport chunk boundaries, real frames hiding inside a
 /// corrupt candidate's payload, and arbitrarily many back-to-back corrupt
@@ -647,40 +587,39 @@ mod tests {
         // Corrupt the middle frame's payload.
         let frame_size = buf.len() / 3;
         buf[frame_size + 40] ^= 0xFF;
-        let mut r = &buf[..];
-        let (f0, s0) = read_frame_resync(&mut r).unwrap();
+        let mut r = FrameReader::new(&buf[..]);
+        let (f0, s0) = r.next_frame().unwrap();
         assert_eq!((f0.sequence, s0), (0, 0));
-        let (f2, s2) = read_frame_resync(&mut r).unwrap();
+        let (f2, s2) = r.next_frame().unwrap();
         assert_eq!(f2.sequence, 2, "frame 1 dropped, frame 2 recovered");
-        assert!(s2 > 0, "skipped bytes reported");
-        assert!(matches!(read_frame_resync(&mut r), Err(NetError::Closed)));
+        assert_eq!(s2, frame_size as u64, "exactly the corrupt frame is skipped");
+        assert!(matches!(r.next_frame(), Err(NetError::Closed)));
     }
 
     #[test]
     fn resync_skips_leading_garbage() {
         let mut buf = b"garbage bytes before the stream".to_vec();
         write_frame(&mut buf, &WireFrame { sequence: 7, payload: vec![1, 2, 3] }).unwrap();
-        let mut r = &buf[..];
-        let (frame, skipped) = read_frame_resync(&mut r).unwrap();
+        let (frame, skipped) = FrameReader::new(&buf[..]).next_frame().unwrap();
         assert_eq!(frame.sequence, 7);
         assert_eq!(skipped, 31);
     }
 
     #[test]
     fn resync_survives_magic_inside_corrupt_region() {
-        // A corrupt length field makes frame 0's body end early; the scan
-        // must still find the following intact frame.
+        // A deflated length field makes frame 0's candidate body end early;
+        // the scan must still find the following intact frame.
         let mut buf = Vec::new();
         write_frame(&mut buf, &WireFrame { sequence: 0, payload: vec![9; 50] }).unwrap();
         let good_start = buf.len();
         write_frame(&mut buf, &WireFrame { sequence: 1, payload: vec![8; 50] }).unwrap();
         // Tamper with frame 0's length field (bytes 8..16).
         buf[8] -= 5;
-        let mut r = &buf[..];
-        let (frame, skipped) = read_frame_resync(&mut r).unwrap();
+        let mut r = FrameReader::new(&buf[..]);
+        let (frame, skipped) = r.next_frame().unwrap();
         assert_eq!(frame.sequence, 1);
-        assert!(skipped > 0 && skipped <= good_start as u64);
-        assert!(matches!(read_frame_resync(&mut r), Err(NetError::Closed)));
+        assert_eq!(skipped, good_start as u64);
+        assert!(matches!(r.next_frame(), Err(NetError::Closed)));
     }
 
     /// A reader that returns at most one byte per call, exercising every
@@ -779,9 +718,9 @@ mod tests {
 
     #[test]
     fn frame_reader_recovers_frame_hidden_in_corrupt_candidate_payload() {
-        // Regression: frame 0's length field is inflated so the legacy
-        // resync reader swallows frame 1 inside the bogus candidate body.
-        // The buffered reader must rescan and recover frame 1.
+        // Regression: frame 0's length field is inflated so its bogus
+        // candidate body swallows frame 1. The reader must rescan the
+        // discarded bytes and recover frame 1.
         let f0 = WireFrame { sequence: 0, payload: vec![9; 50] };
         let f1 = WireFrame { sequence: 1, payload: vec![8; 50] };
         let mut buf = encode(&[f0, f1.clone()]);
@@ -789,17 +728,12 @@ mod tests {
         let (got, skipped) = drain_reader(&buf[..]);
         assert_eq!(got, vec![(1, 50)], "frame 1 must survive");
         assert!(skipped > 0);
-
-        // The legacy one-region reader documents the weaker behaviour: it
-        // consumes the candidate body, losing frame 1.
-        let mut r = &buf[..];
-        assert!(matches!(read_frame_resync(&mut r), Err(NetError::Closed)));
     }
 
     #[test]
     fn frame_reader_back_to_back_corrupt_frames() {
         // Two adjacent corrupt frames, then an intact one: the reader must
-        // cross both corrupt regions (the legacy API only survives one).
+        // cross both corrupt regions.
         let frames: Vec<WireFrame> =
             (0..4).map(|i| WireFrame { sequence: i, payload: vec![i as u8 + 1; 120] }).collect();
         let mut buf = encode(&frames);

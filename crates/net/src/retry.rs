@@ -51,7 +51,7 @@ impl RetryPolicy {
         }
     }
 
-    /// Never retry: surface the first failure (wire-v2 behaviour).
+    /// Never retry: surface the first failure.
     pub fn none() -> RetryPolicy {
         RetryPolicy {
             max_retries: 0,

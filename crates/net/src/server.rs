@@ -1,29 +1,19 @@
-//! The DBGC server: receive bitstreams, decompress or store them directly.
+//! The per-tenant session state machine behind the ingestion fleet.
 //!
 //! The paper's server either decompresses `B` into `PC'` for processing or
 //! "bypasses the decompression procedure and directly stores B" (§3.1). Both
-//! modes are supported; the in-memory store stands in for the ODBC sink.
-//!
-//! Two layers:
-//!
-//! * [`SessionServer`] — the transport-free state machine: frame dedup and
-//!   gap detection, wire-v3 session handling (hello/ack), the frame store,
-//!   and all observability counters. It outlives any single connection, so a
-//!   reconnecting client resumes against the same state.
-//! * [`Server`] — the classic single-transport wrapper (wire-v2 compatible):
-//!   owns a [`FrameReader`] over one `Read` and delegates to the state
-//!   machine. Unchanged behaviour for clean v2 streams.
-//!
-//! Corruption never kills a stream (resynchronization via [`FrameReader`]);
-//! a stalled stream is failed with [`NetError::Timeout`] when the transport
-//! is wrapped in [`crate::link::TimedReader`].
+//! modes live here, one `SessionServer` per wire-v3 tenant: the fleet
+//! ([`crate::fleet`]) owns the transports, does the framing, admits and
+//! routes hellos, and pushes each parsed frame in. This module only decides
+//! what a frame means for its session — store it, deduplicate a replay, drop
+//! an out-of-order arrival for go-back-N to re-deliver, or count a decode
+//! failure — and acknowledges progress.
 
-use std::io::{Read, Write};
-use std::path::PathBuf;
+use std::io::Write;
 
 use dbgc_geom::PointCloud;
 
-use crate::protocol::{write_frame, Control, FrameReader, NetError};
+use crate::protocol::{write_frame, Control, WireFrame};
 
 /// A received frame: the raw bitstream plus, when decompression is enabled,
 /// the restored point cloud.
@@ -37,39 +27,23 @@ pub struct StoredFrame {
     pub cloud: Option<PointCloud>,
 }
 
-/// Record of data the server discarded instead of desyncing or dying:
-/// a corrupt wire region it resynchronized past, or a checksummed frame
-/// whose payload failed to decompress.
-#[derive(Debug, Clone)]
-pub struct DroppedFrame {
-    /// Sequence number, when the frame's header survived well enough to
-    /// report one.
-    pub sequence: Option<u32>,
-    /// Corrupt wire bytes skipped while resynchronizing (0 for decode drops).
-    pub bytes_skipped: u64,
-    /// Human-readable reason, for logs.
-    pub reason: String,
-}
-
-/// A sequence-number anomaly on an intact (checksummed) frame: silent frame
-/// loss and replay become observable instead of vanishing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeqAnomaly {
-    /// What went wrong.
-    pub kind: AnomalyKind,
-    /// Sequence number carried by the frame.
-    pub sequence: u32,
-    /// Sequence the server expected at that point.
-    pub expected: u32,
-}
-
-/// Classification of a [`SeqAnomaly`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnomalyKind {
-    /// The sequence was already stored (a replayed/duplicated frame).
-    Duplicate,
-    /// The sequence jumped forward: frames in between never arrived.
-    Gap,
+/// Per-tenant outcome counts, kept for the tenant's whole lifetime. Every
+/// intact data frame lands in exactly one of `stored`, `deduped`,
+/// `gap_dropped` and `decode_failures`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct SessionCounts {
+    /// Data frames that passed their wire checksum.
+    pub intact: usize,
+    /// Frames accepted in order (later drained, resident, or shed).
+    pub stored: usize,
+    /// Replayed frames below the cursor.
+    pub deduped: usize,
+    /// Frames above the cursor, dropped for go-back-N to re-deliver.
+    pub gap_dropped: usize,
+    /// Checksummed frames whose payload failed to decode.
+    pub decode_failures: usize,
+    /// Corrupt wire regions resynchronized past.
+    pub resyncs: usize,
 }
 
 /// Optional metrics sink (always `None` with the `metrics` feature off).
@@ -78,78 +52,48 @@ type MetricsSink = Option<dbgc_metrics::Collector>;
 #[cfg(not(feature = "metrics"))]
 type MetricsSink = Option<std::convert::Infallible>;
 
-/// Transport-free server state machine; see the module docs.
+/// One tenant's wire-v3 session: strict in-order delivery with replay
+/// dedup, acknowledged after every accepted or deduplicated frame so the
+/// client can advance its bounded in-flight window. State outlives any one
+/// connection, so a reconnecting client resumes against the same cursor.
 ///
-/// ### Modes
-///
-/// *Wire v2* (no hello seen): every intact frame is stored in arrival order,
-/// exactly as the original server behaved; sequence anomalies are *recorded*
-/// (counters + [`SessionServer::anomalies`]) but frames are never dropped
-/// for ordering reasons.
-///
-/// *Wire v3 session* (after a [`Control::Hello`]): strict in-order delivery.
-/// Replayed sequences are deduplicated, out-of-order arrivals are dropped
-/// (the client's go-back-N retransmit resends them in order), and every
-/// accepted or deduplicated frame is acknowledged so the client can advance
-/// its bounded in-flight window.
-///
-/// ### Counter invariant
-///
-/// For every connection mix, intact data frames partition exactly:
-/// `net.frames_intact == net.frames_stored + net.frames_deduped +
-/// net.frames_gap_dropped + net.decode_failures` — the chaos suite asserts
-/// this for every seed.
+/// Counter invariant: `net.frames_intact == net.frames_stored +
+/// net.frames_deduped + net.frames_gap_dropped + net.decode_failures`, and
+/// the same identity holds per tenant over [`SessionCounts`].
 #[derive(Debug)]
-pub struct SessionServer {
+pub(crate) struct SessionServer {
+    session_id: u64,
     decompress: bool,
     store: Vec<StoredFrame>,
-    dropped: Vec<DroppedFrame>,
-    anomalies: Vec<SeqAnomaly>,
-    /// Active wire-v3 session, once a hello arrives.
-    session: Option<u64>,
-    /// Strict-mode cursor: next sequence the session will store.
+    /// Next sequence the session will store.
     next_expected: u32,
-    /// v2 observability cursor: sequence expected next, once any data frame
-    /// has arrived.
-    v2_expected: Option<u32>,
-    /// Optional on-disk sink: every received bitstream is also written as
-    /// `frame-<seq>.dbgc` here (stands in for the paper's ODBC storage).
-    disk_store: Option<PathBuf>,
+    /// A hello has been seen; later ones are reconnects.
+    greeted: bool,
+    counts: SessionCounts,
     #[cfg_attr(not(feature = "metrics"), allow(dead_code))]
     metrics: MetricsSink,
 }
 
 impl SessionServer {
     /// `decompress = false` reproduces the "store B directly" mode.
-    pub fn new(decompress: bool) -> SessionServer {
+    pub(crate) fn new(session_id: u64, decompress: bool) -> SessionServer {
         SessionServer {
+            session_id,
             decompress,
             store: Vec::new(),
-            dropped: Vec::new(),
-            anomalies: Vec::new(),
-            session: None,
             next_expected: 0,
-            v2_expected: None,
-            disk_store: None,
+            greeted: false,
+            counts: SessionCounts::default(),
             metrics: None,
         }
     }
 
-    /// Record per-connection observability data into `collector`; see
-    /// [`Server::with_metrics`] for the counter inventory.
+    /// Record `net.*` counters, the `net.frame_bytes` histogram and the
+    /// decoder's stage spans into `collector`.
     #[cfg(feature = "metrics")]
-    pub fn with_metrics(mut self, collector: &dbgc_metrics::Collector) -> SessionServer {
+    pub(crate) fn with_metrics(mut self, collector: &dbgc_metrics::Collector) -> SessionServer {
         self.metrics = Some(collector.clone());
         self
-    }
-
-    /// Additionally persist every received bitstream into `dir` as
-    /// `frame-<seq>.dbgc`. The directory is created if missing.
-    pub fn with_disk_store(mut self, dir: impl Into<PathBuf>) -> std::io::Result<SessionServer> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        self.disk_store = Some(dir);
-        Ok(self)
     }
 
     fn incr(&self, _name: &str, _n: u64) {
@@ -159,20 +103,12 @@ impl SessionServer {
         }
     }
 
-    fn record_hist(&self, _name: &str, _v: u64) {
-        #[cfg(feature = "metrics")]
-        if let Some(c) = &self.metrics {
-            c.record(_name, _v);
-        }
-    }
-
     /// Send (or resend) the session acknowledgement. Ack-path failures are
     /// soft: the data path keeps working, the client recovers via timeout.
-    fn send_ack(&mut self, ack: &mut Option<impl Write>) {
-        let Some(session) = self.session else { return };
+    fn send_ack(&self, ack: &mut Option<impl Write>) {
         let Some(w) = ack.as_mut() else { return };
-        let frame =
-            Control::Ack { session_id: session, next_expected: self.next_expected }.to_frame();
+        let frame = Control::Ack { session_id: self.session_id, next_expected: self.next_expected }
+            .to_frame();
         if write_frame(w, &frame).is_ok() {
             self.incr("net.acks_sent", 1);
         } else {
@@ -180,107 +116,46 @@ impl SessionServer {
         }
     }
 
-    /// Process one wire frame against the session state. Returns `true` when
-    /// a data frame was *stored* (control frames, duplicates, gaps and
-    /// decode failures all return `false` and the caller keeps reading).
-    fn process_frame(
-        &mut self,
-        wire: crate::protocol::WireFrame,
-        ack: &mut Option<impl Write>,
-    ) -> Result<bool, NetError> {
-        if let Some(control) = Control::from_frame(&wire) {
-            match control {
-                // A bare session server does not hold an auth table — token
-                // verification is the fleet edge's job (`FleetCore` rejects
-                // bad tokens before the frame ever reaches a session). By
-                // the time a `HelloAuth` lands here it is just a hello.
-                Control::Hello { session_id, last_acked }
-                | Control::HelloAuth { session_id, last_acked, .. } => {
-                    self.incr("net.hellos", 1);
-                    match self.session {
-                        Some(current) if current == session_id => {
-                            // Reconnect within the session: keep dedup state.
-                            self.incr("net.reconnect_hellos", 1);
-                        }
-                        _ => {
-                            // New session (or first hello): strict mode from
-                            // a fresh cursor.
-                            self.session = Some(session_id);
-                            self.next_expected = 0;
-                        }
-                    }
-                    // The client's ack floor trailing our cursor is expected
-                    // (lost acks); it running *ahead* would mean we lost
-                    // stored frames and is worth a gap record.
-                    if last_acked > self.next_expected {
-                        self.incr("net.seq_gaps", 1);
-                        self.anomalies.push(SeqAnomaly {
-                            kind: AnomalyKind::Gap,
-                            sequence: last_acked,
-                            expected: self.next_expected,
-                        });
-                    }
-                    self.send_ack(ack);
-                }
-                Control::Ack { .. } | Control::Reject { .. } => {
-                    // Acks and rejects flow server → client; one arriving
-                    // here is noise (e.g. a fuzzed stream). Ignore.
-                }
-            }
-            return Ok(false);
+    /// A hello for this session (first connect or reconnect): answer with
+    /// the cursor. A client ack floor ahead of the cursor means acked frames
+    /// went missing server-side; it is counted (`net.seq_gaps`) but drops no
+    /// frame.
+    pub(crate) fn hello(&mut self, last_acked: u32, ack: &mut Option<impl Write>) {
+        self.incr("net.hellos", 1);
+        if self.greeted {
+            self.incr("net.reconnect_hellos", 1);
         }
+        self.greeted = true;
+        if last_acked > self.next_expected {
+            self.incr("net.seq_gaps", 1);
+        }
+        self.send_ack(ack);
+    }
 
+    /// Process one data frame; `true` when it was stored.
+    pub(crate) fn data(&mut self, wire: WireFrame, ack: &mut Option<impl Write>) -> bool {
+        self.counts.intact += 1;
         self.incr("net.frames_intact", 1);
-        self.record_hist("net.frame_bytes", wire.payload.len() as u64);
-
-        if self.session.is_some() {
-            // Strict session ordering.
-            if wire.sequence < self.next_expected {
-                self.incr("net.frames_deduped", 1);
-                self.anomalies.push(SeqAnomaly {
-                    kind: AnomalyKind::Duplicate,
-                    sequence: wire.sequence,
-                    expected: self.next_expected,
-                });
-                // Re-ack so a client that missed the original ack advances.
-                self.send_ack(ack);
-                return Ok(false);
-            }
-            if wire.sequence > self.next_expected {
-                self.incr("net.seq_gaps", 1);
-                self.incr("net.frames_gap_dropped", 1);
-                self.anomalies.push(SeqAnomaly {
-                    kind: AnomalyKind::Gap,
-                    sequence: wire.sequence,
-                    expected: self.next_expected,
-                });
-                // Tell the client where we are; go-back-N fills the hole.
-                self.send_ack(ack);
-                return Ok(false);
-            }
-        } else {
-            // v2: observability only, store everything like the original
-            // server did.
-            if let Some(expected) = self.v2_expected {
-                if wire.sequence > expected {
-                    self.incr("net.seq_gaps", 1);
-                    self.anomalies.push(SeqAnomaly {
-                        kind: AnomalyKind::Gap,
-                        sequence: wire.sequence,
-                        expected,
-                    });
-                } else if wire.sequence < expected {
-                    self.incr("net.seq_dups_observed", 1);
-                    self.anomalies.push(SeqAnomaly {
-                        kind: AnomalyKind::Duplicate,
-                        sequence: wire.sequence,
-                        expected,
-                    });
-                }
-            }
-            self.v2_expected = Some(wire.sequence.wrapping_add(1));
+        #[cfg(feature = "metrics")]
+        if let Some(c) = &self.metrics {
+            c.record("net.frame_bytes", wire.payload.len() as u64);
         }
-
+        if wire.sequence < self.next_expected {
+            self.counts.deduped += 1;
+            self.incr("net.frames_deduped", 1);
+            // Re-ack so a client that missed the original ack advances.
+            self.send_ack(ack);
+            return false;
+        }
+        if wire.sequence > self.next_expected {
+            self.counts.gap_dropped += 1;
+            self.incr("net.seq_gaps", 1);
+            self.incr("net.frames_gap_dropped", 1);
+            // Tell the client where we are; go-back-N fills the hole.
+            self.send_ack(ack);
+            return false;
+        }
+        self.next_expected = self.next_expected.wrapping_add(1);
         let cloud = if self.decompress {
             let decoded = {
                 #[cfg(feature = "metrics")]
@@ -293,81 +168,48 @@ impl SessionServer {
             };
             match decoded {
                 Ok((cloud, _)) => Some(cloud),
-                Err(e) => {
+                Err(_) => {
+                    // The payload passed its CRC, so retransmission would
+                    // resend the same poisoned bytes: advance and ack to keep
+                    // the session moving.
+                    self.counts.decode_failures += 1;
                     self.incr("net.decode_failures", 1);
                     self.incr("net.frames_dropped", 1);
-                    self.dropped.push(DroppedFrame {
-                        sequence: Some(wire.sequence),
-                        bytes_skipped: 0,
-                        reason: format!("frame {} failed to decode: {e}", wire.sequence),
-                    });
-                    if self.session.is_some() {
-                        // The payload passed its CRC, so retransmission
-                        // would resend the same poisoned bytes: advance and
-                        // ack to keep the session moving.
-                        self.next_expected = self.next_expected.wrapping_add(1);
-                        self.send_ack(ack);
-                    }
-                    return Ok(false);
+                    self.send_ack(ack);
+                    return false;
                 }
             }
         } else {
             None
         };
-        if let Some(dir) = &self.disk_store {
-            std::fs::write(dir.join(format!("frame-{}.dbgc", wire.sequence)), &wire.payload)?;
-        }
+        self.counts.stored += 1;
         self.incr("net.frames_received", 1);
         self.incr("net.frames_stored", 1);
         self.incr("net.bytes_received", wire.payload.len() as u64);
         self.store.push(StoredFrame { sequence: wire.sequence, bytes: wire.payload, cloud });
-        if self.session.is_some() {
-            self.next_expected = self.next_expected.wrapping_add(1);
-            self.send_ack(ack);
-        }
-        Ok(true)
+        self.send_ack(ack);
+        true
     }
 
-    /// Push one already-parsed wire frame into the state machine: the entry
-    /// point for event-driven callers (the fleet server) that do their own
-    /// framing instead of handing the transport over. Same semantics as the
-    /// pull path: returns `Ok(true)` when a data frame was *stored*; control
-    /// frames, duplicates, gaps and decode failures return `Ok(false)` after
-    /// updating counters and (re-)acking as needed.
-    pub fn handle_frame(
-        &mut self,
-        wire: crate::protocol::WireFrame,
-        ack: &mut Option<impl Write>,
-    ) -> Result<bool, NetError> {
-        self.process_frame(wire, ack)
-    }
-
-    /// Record a wire-level resynchronization (corrupt bytes discarded before
-    /// an intact frame). Event-driven callers that own their [`FrameReader`]
-    /// report skips here so `net.resyncs` / `net.bytes_skipped` and the
-    /// [`SessionServer::dropped`] log stay accurate.
-    pub fn record_resync(&mut self, skipped: u64) {
+    /// Record a wire-level resynchronization: `skipped` corrupt bytes were
+    /// discarded before an intact frame on one of this tenant's connections.
+    pub(crate) fn record_resync(&mut self, skipped: u64) {
         if skipped == 0 {
             return;
         }
+        self.counts.resyncs += 1;
         self.incr("net.resyncs", 1);
         self.incr("net.bytes_skipped", skipped);
         self.incr("net.frames_dropped", 1);
-        self.dropped.push(DroppedFrame {
-            sequence: None,
-            bytes_skipped: skipped,
-            reason: format!("resynchronized past {skipped} corrupt wire bytes"),
-        });
     }
 
     /// Remove one stored-but-undrained frame under fleet load shedding: the
     /// oldest (`oldest = true`, policy `DropOldest`) or the newest (degrade /
-    /// drop-newest decimation). The frame was already acknowledged — the
-    /// client moved on — so the fleet layer owns the accounting
-    /// (`fleet.shed_frames`); this only bumps `net.frames_shed` so the
-    /// store-level partition `net.frames_stored == drained + resident + shed`
-    /// stays checkable from counters alone.
-    pub fn shed_stored(&mut self, oldest: bool) -> Option<StoredFrame> {
+    /// drop-newest decimation). The frame was already acknowledged, so the
+    /// fleet layer owns the accounting (`fleet.shed_frames`); this only bumps
+    /// `net.frames_shed` so the store-level partition `net.frames_stored ==
+    /// drained + resident + shed` stays checkable from counters alone.
+    pub(crate) fn shed_stored(&mut self, oldest: bool) -> Option<StoredFrame> {
         if self.store.is_empty() {
             return None;
         }
@@ -376,216 +218,28 @@ impl SessionServer {
         Some(frame)
     }
 
-    /// Receive frames from `reader` until one is stored; `Ok(false)` on a
-    /// clean end of stream. See [`Server::receive_one`].
-    pub fn receive_one<R: Read>(
-        &mut self,
-        reader: &mut FrameReader<R>,
-        ack: &mut Option<impl Write>,
-    ) -> Result<bool, NetError> {
-        loop {
-            let (wire, skipped) = match reader.next_frame() {
-                Ok(x) => x,
-                Err(NetError::Closed) => return Ok(false),
-                Err(e) => return Err(e),
-            };
-            self.record_resync(skipped);
-            if self.process_frame(wire, ack)? {
-                return Ok(true);
-            }
-        }
-    }
-
-    /// Drain one connection: read frames until the stream closes or fails.
-    /// Returns the number of frames *stored* from this connection. Session
-    /// state persists across calls, so the next connection resumes where
-    /// this one left off.
-    pub fn serve_connection<R: Read, A: Write>(
-        &mut self,
-        transport: R,
-        ack: Option<A>,
-    ) -> Result<usize, NetError> {
-        let mut reader = FrameReader::new(transport);
-        let mut ack = ack;
-        let mut stored = 0usize;
-        loop {
-            match self.receive_one(&mut reader, &mut ack) {
-                Ok(true) => stored += 1,
-                Ok(false) => return Ok(stored),
-                Err(NetError::Timeout) => {
-                    self.incr("net.timeouts", 1);
-                    return Err(NetError::Timeout);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// All frames stored so far (across every connection).
-    pub fn frames(&self) -> &[StoredFrame] {
+    /// Stored frames not yet drained.
+    pub(crate) fn frames(&self) -> &[StoredFrame] {
         &self.store
     }
 
-    /// Frames and wire regions discarded due to corruption.
-    pub fn dropped(&self) -> &[DroppedFrame] {
-        &self.dropped
+    /// Lifetime outcome counts.
+    pub(crate) fn counts(&self) -> SessionCounts {
+        self.counts
     }
 
-    /// Sequence anomalies observed on intact frames (duplicates, gaps).
-    pub fn anomalies(&self) -> &[SeqAnomaly] {
-        &self.anomalies
-    }
-
-    /// The active wire-v3 session id, if a hello has been received.
-    pub fn session_id(&self) -> Option<u64> {
-        self.session
-    }
-
-    /// Strict-mode cursor: the next sequence the session will store.
-    pub fn next_expected(&self) -> u32 {
-        self.next_expected
-    }
-
-    /// Consume the state machine, returning its stored frames.
-    pub fn into_frames(self) -> Vec<StoredFrame> {
-        self.store
-    }
-
-    /// Take every stored frame, leaving the server running and empty — the
-    /// hand-off point for archival (e.g. `dbgc-store`'s `FrameStore`) on a
-    /// live session: drain periodically, keep receiving.
-    pub fn drain_frames(&mut self) -> Vec<StoredFrame> {
+    /// Take every stored frame, leaving the session running and empty.
+    pub(crate) fn drain_frames(&mut self) -> Vec<StoredFrame> {
         std::mem::take(&mut self.store)
-    }
-}
-
-/// Discard-everything ack sink for servers on unidirectional transports.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoAck;
-
-impl Write for NoAck {
-    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-        Ok(data.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Receives and stores compressed point-cloud frames over one transport.
-///
-/// The classic wire-v2 entry point; session behaviour (dedup, acks) engages
-/// only if the peer sends a wire-v3 hello *and* an ack writer is attached
-/// via [`Server::with_ack_writer`]. For multi-connection sessions use
-/// [`SessionServer`] directly.
-#[derive(Debug)]
-pub struct Server<R, A: Write = NoAck> {
-    reader: FrameReader<R>,
-    ack: Option<A>,
-    core: SessionServer,
-}
-
-impl<R: Read> Server<R> {
-    /// `decompress = false` reproduces the "store B directly" mode.
-    pub fn new(transport: R, decompress: bool) -> Server<R> {
-        Server {
-            reader: FrameReader::new(transport),
-            ack: None,
-            core: SessionServer::new(decompress),
-        }
-    }
-}
-
-impl<R: Read, A: Write> Server<R, A> {
-    /// Record per-connection observability data into `collector`:
-    /// `net.frames_received` / `net.bytes_received` for stored frames,
-    /// `net.frames_dropped` / `net.decode_failures` for discarded ones,
-    /// `net.resyncs` / `net.bytes_skipped` for wire-level recovery,
-    /// `net.frames_intact` / `net.frames_stored` / `net.frames_deduped` /
-    /// `net.frames_gap_dropped` / `net.seq_gaps` for sequence accounting,
-    /// `net.hellos` / `net.acks_sent` / `net.timeouts` for session health,
-    /// and a `net.frame_bytes` size histogram. When decompression is enabled
-    /// the decoder also records its stage spans into the same collector.
-    #[cfg(feature = "metrics")]
-    pub fn with_metrics(mut self, collector: &dbgc_metrics::Collector) -> Server<R, A> {
-        self.core = self.core.with_metrics(collector);
-        self
-    }
-
-    /// Additionally persist every received bitstream into `dir` as
-    /// `frame-<seq>.dbgc`. The directory is created if missing.
-    pub fn with_disk_store(mut self, dir: impl Into<PathBuf>) -> std::io::Result<Server<R, A>> {
-        self.core = self.core.with_disk_store(dir)?;
-        Ok(self)
-    }
-
-    /// Cap header-declared payload sizes at `max_payload` bytes (defaults to
-    /// [`crate::protocol::DEFAULT_MAX_PAYLOAD`]).
-    pub fn with_max_payload(mut self, max_payload: u64) -> Server<R, A> {
-        self.reader = self.reader.with_max_payload(max_payload);
-        self
-    }
-
-    /// Attach the write half of the transport so wire-v3 sessions can be
-    /// acknowledged.
-    pub fn with_ack_writer<A2: Write>(self, ack: A2) -> Server<R, A2> {
-        Server { reader: self.reader, ack: Some(ack), core: self.core }
-    }
-
-    /// Receive one frame; `Ok(false)` on clean end of stream.
-    ///
-    /// Corruption never kills the stream: a frame that fails its wire
-    /// checksum (or leaves the reader desynced) is skipped via
-    /// resynchronization, and a checksummed frame whose payload fails to
-    /// decompress is discarded. Both are recorded in [`Server::dropped`] and
-    /// reception continues with the next frame.
-    pub fn receive_one(&mut self) -> Result<bool, NetError> {
-        self.core.receive_one(&mut self.reader, &mut self.ack)
-    }
-
-    /// Receive until the stream closes; returns the number of frames.
-    pub fn receive_all(&mut self) -> Result<usize, NetError> {
-        let mut n = 0;
-        while self.receive_one()? {
-            n += 1;
-        }
-        Ok(n)
-    }
-
-    /// All frames received so far.
-    pub fn frames(&self) -> &[StoredFrame] {
-        self.core.frames()
-    }
-
-    /// Frames and wire regions discarded due to corruption.
-    pub fn dropped(&self) -> &[DroppedFrame] {
-        self.core.dropped()
-    }
-
-    /// Sequence anomalies observed on intact frames (duplicates, gaps) —
-    /// silent frame loss on a lossy link made visible.
-    pub fn anomalies(&self) -> &[SeqAnomaly] {
-        self.core.anomalies()
-    }
-
-    /// Consume the server, returning its stored frames.
-    pub fn into_frames(self) -> Vec<StoredFrame> {
-        self.core.into_frames()
-    }
-
-    /// Take every stored frame, leaving the server connected and empty; see
-    /// [`SessionServer::drain_frames`].
-    pub fn drain_frames(&mut self) -> Vec<StoredFrame> {
-        self.core.drain_frames()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::Client;
-    use crate::link::throttled_pipe;
-    use crate::protocol::{write_frame, WireFrame};
+    use crate::fleet::{FleetConfig, FleetServer};
+    use crate::protocol::read_frame;
+    use crate::session::{ResilientClient, SessionConfig};
     use dbgc::Dbgc;
     use dbgc_geom::Point3;
 
@@ -598,232 +252,167 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn client_server_over_pipe_with_decompression() {
-        let (writer, reader) = throttled_pipe(None);
-        let clouds: Vec<PointCloud> = (1..4).map(|k| toy_cloud(k * 500)).collect();
-        let sent = {
-            let clouds = clouds.clone();
-            std::thread::spawn(move || {
-                let mut client = Client::new(Dbgc::with_error_bound(0.02), writer);
-                let frames: Vec<_> = clouds.iter().map(|c| client.send_cloud(c).unwrap()).collect();
-                frames
-            })
-        };
-        let mut server = Server::new(reader, true);
-        let n = server.receive_all().unwrap();
-        let frames = sent.join().unwrap();
-        assert_eq!(n, 3);
-        for (i, stored) in server.frames().iter().enumerate() {
-            assert_eq!(stored.sequence, i as u32);
-            let cloud = stored.cloud.as_ref().unwrap();
-            assert_eq!(cloud.len(), clouds[i].len());
-            dbgc::verify_roundtrip(&clouds[i], cloud, &frames[i], 0.02).unwrap();
+    /// A one-tenant fleet, the way every test here reaches the session.
+    fn one_tenant(decompress: bool) -> FleetServer {
+        let mut config = FleetConfig::new(1);
+        config.decompress = decompress;
+        FleetServer::spawn(config)
+    }
+
+    /// Send `payloads` as session `sid` through a resilient client.
+    fn deliver(fleet: &FleetServer, sid: u64, payloads: Vec<Vec<u8>>) {
+        let handle = fleet.handle();
+        let mut client =
+            ResilientClient::new(move || handle.connect(sid), SessionConfig::fast_test(sid));
+        for payload in payloads {
+            client.send_payload(payload).unwrap();
         }
-        assert!(server.anomalies().is_empty(), "clean in-order stream");
-    }
-
-    #[test]
-    fn store_without_decompression() {
-        let (writer, reader) = throttled_pipe(None);
-        let cloud = toy_cloud(800);
-        let handle = std::thread::spawn(move || {
-            let mut client = Client::new(Dbgc::with_error_bound(0.02), writer);
-            client.send_cloud(&cloud).unwrap().bytes
-        });
-        let mut server = Server::new(reader, false);
-        assert_eq!(server.receive_all().unwrap(), 1);
-        let bytes = handle.join().unwrap();
-        assert_eq!(server.frames()[0].bytes, bytes);
-        assert!(server.frames()[0].cloud.is_none());
-    }
-
-    #[test]
-    fn disk_store_persists_streams() {
-        let dir = std::env::temp_dir().join("dbgc_server_store_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let (writer, reader) = throttled_pipe(None);
-        let cloud = toy_cloud(600);
-        let handle = std::thread::spawn(move || {
-            let mut client = Client::new(Dbgc::with_error_bound(0.02), writer);
-            client.send_cloud(&cloud).unwrap().bytes
-        });
-        let mut server = Server::new(reader, false).with_disk_store(&dir).unwrap();
-        server.receive_all().unwrap();
-        let bytes = handle.join().unwrap();
-        let persisted = std::fs::read(dir.join("frame-0.dbgc")).unwrap();
-        assert_eq!(persisted, bytes);
-        // Stored file decompresses on its own.
-        let (restored, _) = dbgc::decompress(&persisted).unwrap();
-        assert_eq!(restored.len(), 600);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_frame_dropped_stream_continues() {
-        // Build a 3-frame byte stream, flip bytes in the middle frame, and
-        // check the server stores frames 0 and 2 while recording the drop.
-        let clouds: Vec<PointCloud> = (1..4).map(|k| toy_cloud(k * 300)).collect();
-        let mut buf = Vec::new();
-        let mut offsets = vec![0usize];
-        for (i, c) in clouds.iter().enumerate() {
-            let payload = Dbgc::with_error_bound(0.02).compress(c).unwrap().bytes;
-            write_frame(&mut buf, &WireFrame { sequence: i as u32, payload }).unwrap();
-            offsets.push(buf.len());
-        }
-        // Flip a few payload bytes inside frame 1.
-        let mid = (offsets[1] + offsets[2]) / 2;
-        for d in 0..3 {
-            buf[mid + d * 7] ^= 0x55;
-        }
-        let mut server = Server::new(&buf[..], true);
-        let n = server.receive_all().unwrap();
-        assert_eq!(n, 2, "two intact frames received");
-        assert_eq!(server.frames()[0].cloud.as_ref().unwrap().len(), clouds[0].len());
-        assert_eq!(server.frames()[1].cloud.as_ref().unwrap().len(), clouds[2].len());
-        assert_eq!(server.dropped().len(), 1, "the corrupt frame is recorded");
-        assert!(server.dropped()[0].bytes_skipped > 0);
-        // The skipped frame also surfaces as a sequence gap (0 -> 2).
-        assert_eq!(
-            server.anomalies(),
-            &[SeqAnomaly { kind: AnomalyKind::Gap, sequence: 2, expected: 1 }]
-        );
-    }
-
-    #[test]
-    fn tcp_transport_roundtrip() {
-        use crate::tcp::{accept_with_deadline, connect_with_deadline};
-        use std::net::TcpListener;
-        use std::time::Duration;
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().expect("local addr");
-        let cloud = toy_cloud(1000);
-        let client_cloud = cloud.clone();
-        let client = std::thread::spawn(move || -> Result<(), String> {
-            let stream = connect_with_deadline(addr, Duration::from_secs(5))
-                .map_err(|e| format!("connect: {e}"))?;
-            let mut client = Client::new(Dbgc::with_error_bound(0.02), stream);
-            client.send_cloud(&client_cloud).map_err(|e| format!("send: {e}"))?;
-            Ok(())
-        });
-        let (stream, _) =
-            accept_with_deadline(&listener, Duration::from_secs(5)).expect("bounded accept");
-        let mut server = Server::new(stream, true);
-        assert_eq!(server.receive_all().expect("receive"), 1);
-        client.join().expect("client thread").expect("client result");
-        assert_eq!(server.frames()[0].cloud.as_ref().unwrap().len(), cloud.len());
+        client.finish().unwrap();
     }
 
     fn data_frame(seq: u32) -> WireFrame {
         WireFrame { sequence: seq, payload: vec![seq as u8; 40] }
     }
 
-    #[test]
-    fn v2_gap_and_duplicate_detection_is_observability_only() {
-        // Sequences 0, 3, 3, 1: one gap, one duplicate, one rewind — all
-        // stored (v2 semantics), all recorded.
-        let mut buf = Vec::new();
-        for seq in [0u32, 3, 3, 1] {
-            write_frame(&mut buf, &data_frame(seq)).unwrap();
-        }
-        let mut server = Server::new(&buf[..], false);
-        assert_eq!(server.receive_all().unwrap(), 4, "v2 stores everything");
-        let kinds: Vec<AnomalyKind> = server.anomalies().iter().map(|a| a.kind).collect();
-        assert_eq!(kinds, vec![AnomalyKind::Gap, AnomalyKind::Duplicate, AnomalyKind::Duplicate]);
-        assert_eq!(
-            server.anomalies()[0],
-            SeqAnomaly { kind: AnomalyKind::Gap, sequence: 3, expected: 1 }
-        );
+    fn hello(session_id: u64, last_acked: u32) -> WireFrame {
+        Control::Hello { session_id, last_acked }.to_frame()
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
-    fn v2_anomaly_counters_flow_through_metrics() {
-        let mut buf = Vec::new();
-        for seq in [0u32, 2, 2] {
-            write_frame(&mut buf, &data_frame(seq)).unwrap();
+    fn client_server_over_pipe_with_decompression() {
+        let clouds: Vec<PointCloud> = (1..4).map(|k| toy_cloud(k * 500)).collect();
+        let frames: Vec<_> =
+            clouds.iter().map(|c| Dbgc::with_error_bound(0.02).compress(c).unwrap()).collect();
+        let fleet = one_tenant(true);
+        deliver(&fleet, 1, frames.iter().map(|f| f.bytes.clone()).collect());
+        let report = fleet.shutdown();
+        let tenant = report.tenant(1).unwrap();
+        assert_eq!(tenant.durable, vec![0, 1, 2]);
+        for (i, stored) in tenant.resident_frames.iter().enumerate() {
+            let cloud = stored.cloud.as_ref().unwrap();
+            assert_eq!(cloud.len(), clouds[i].len());
+            dbgc::verify_roundtrip(&clouds[i], cloud, &frames[i], 0.02).unwrap();
         }
-        let collector = dbgc_metrics::Collector::new();
-        let mut server = Server::new(&buf[..], false).with_metrics(&collector);
-        server.receive_all().unwrap();
-        let snap = collector.snapshot();
-        assert_eq!(snap.counters["net.seq_gaps"], 1);
-        assert_eq!(snap.counters["net.seq_dups_observed"], 1);
-        assert_eq!(snap.counters["net.frames_intact"], 3);
-        assert_eq!(snap.counters["net.frames_stored"], 3);
+        assert_eq!((tenant.deduped, tenant.gap_dropped), (0, 0), "clean in-order stream");
+    }
+
+    #[test]
+    fn store_without_decompression() {
+        let bytes = Dbgc::with_error_bound(0.02).compress(&toy_cloud(800)).unwrap().bytes;
+        let fleet = one_tenant(false);
+        deliver(&fleet, 2, vec![bytes.clone()]);
+        let report = fleet.shutdown();
+        let stored = &report.tenant(2).unwrap().resident_frames[0];
+        assert_eq!(stored.bytes, bytes);
+        assert!(stored.cloud.is_none());
+    }
+
+    #[test]
+    fn corrupt_frame_dropped_stream_continues() {
+        // Hello, then three frames with bytes flipped in the middle one: the
+        // session stores frame 0, resynchronizes past frame 1, and drops
+        // frame 2 as a gap for go-back-N to re-deliver in order.
+        let clouds: Vec<PointCloud> = (1..4).map(|k| toy_cloud(k * 300)).collect();
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &hello(3, 0)).unwrap();
+        let mut offsets = vec![buf.len()];
+        for (i, c) in clouds.iter().enumerate() {
+            let payload = Dbgc::with_error_bound(0.02).compress(c).unwrap().bytes;
+            write_frame(&mut buf, &WireFrame { sequence: i as u32, payload }).unwrap();
+            offsets.push(buf.len());
+        }
+        let mid = (offsets[1] + offsets[2]) / 2;
+        for d in 0..3 {
+            buf[mid + d * 7] ^= 0x55;
+        }
+        let fleet = one_tenant(true);
+        let handle = fleet.handle();
+        let (mut tx, _acks) = handle.connect(3).unwrap();
+        tx.write_all(&buf).unwrap();
+        handle.sync();
+        drop(tx);
+        let report = fleet.shutdown();
+        let tenant = report.tenant(3).unwrap();
+        assert_eq!(tenant.durable, vec![0]);
+        assert_eq!(tenant.resident_frames[0].cloud.as_ref().unwrap().len(), clouds[0].len());
+        assert_eq!(tenant.resyncs, 1, "the corrupt frame is skipped once");
+        assert_eq!(tenant.gap_dropped, 1, "frame 2 waits for go-back-N");
+        report.verify_partition().unwrap();
+    }
+
+    #[test]
+    fn tcp_transport_roundtrip() {
+        use crate::tcp::{TcpConnector, TcpFleetServer, TcpTuning};
+        use std::time::Duration;
+        let cloud = toy_cloud(1000);
+        let bytes = Dbgc::with_error_bound(0.02).compress(&cloud).unwrap().bytes;
+        let mut config = FleetConfig::new(1);
+        config.decompress = true;
+        let server = TcpFleetServer::bind("127.0.0.1:0", config, TcpTuning::fast_test())
+            .expect("bind loopback");
+        let connector = TcpConnector::new(server.local_addr())
+            .with_timeouts(Duration::from_millis(500), Some(Duration::from_millis(500)));
+        let mut client = ResilientClient::new(connector, SessionConfig::fast_test(4));
+        client.send_payload(bytes).unwrap();
+        client.finish().unwrap();
+        let report = server.shutdown();
+        let (_, frames) = report.drained.iter().find(|(sid, _)| *sid == 4).unwrap();
+        assert_eq!(frames[0].cloud.as_ref().unwrap().len(), cloud.len());
     }
 
     #[test]
     fn session_mode_dedups_and_acks() {
-        // hello, 0, 1, 1 (replay), 3 (gap) — strict mode stores 0 and 1,
-        // dedups the replay, drops the gap, and acks each step.
+        // hello, 0, 1, 1 (replay), 3 (gap): stores 0 and 1, dedups the
+        // replay, drops the gap, and acks each step.
         let session = 0x5E55_0001;
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &Control::Hello { session_id: session, last_acked: 0 }.to_frame())
-            .unwrap();
-        for seq in [0u32, 1, 1, 3] {
-            write_frame(&mut buf, &data_frame(seq)).unwrap();
-        }
-        let mut acks = Vec::new();
-        let mut core = SessionServer::new(false);
-        let stored = core.serve_connection(&buf[..], Some(&mut acks)).unwrap();
-        assert_eq!(stored, 2);
-        assert_eq!(core.session_id(), Some(session));
-        assert_eq!(core.next_expected(), 2);
+        let mut acks = Some(Vec::new());
+        let mut core = SessionServer::new(session, false);
+        core.hello(0, &mut acks);
+        let stored: Vec<bool> =
+            [0u32, 1, 1, 3].map(|seq| core.data(data_frame(seq), &mut acks)).into();
+        assert_eq!(stored, vec![true, true, false, false]);
         let seqs: Vec<u32> = core.frames().iter().map(|f| f.sequence).collect();
         assert_eq!(seqs, vec![0, 1]);
-        let kinds: Vec<AnomalyKind> = core.anomalies().iter().map(|a| a.kind).collect();
-        assert_eq!(kinds, vec![AnomalyKind::Duplicate, AnomalyKind::Gap]);
-        // The ack stream is parseable and ends at next_expected = 2.
+        let counts = core.counts();
+        assert_eq!(
+            (counts.intact, counts.stored, counts.deduped, counts.gap_dropped),
+            (4, 2, 1, 1)
+        );
+        // One ack per step, all parseable, ending at next_expected = 2.
+        let acks = acks.unwrap();
         let mut r = &acks[..];
-        let mut last = None;
-        while let Ok(frame) = crate::protocol::read_frame(&mut r) {
+        let mut seen = Vec::new();
+        while let Ok(frame) = read_frame(&mut r) {
             match Control::from_frame(&frame) {
                 Some(Control::Ack { session_id, next_expected }) => {
                     assert_eq!(session_id, session);
-                    last = Some(next_expected);
+                    seen.push(next_expected);
                 }
                 other => panic!("unexpected control {other:?}"),
             }
         }
-        assert_eq!(last, Some(2));
+        assert_eq!(seen, vec![0, 1, 2, 2, 2]);
     }
 
     #[test]
     fn session_state_survives_reconnect() {
-        let session = 77;
-        let mut core = SessionServer::new(false);
-        // Connection 1: hello + frames 0, 1.
-        let mut conn1 = Vec::new();
-        write_frame(&mut conn1, &Control::Hello { session_id: session, last_acked: 0 }.to_frame())
-            .unwrap();
-        write_frame(&mut conn1, &data_frame(0)).unwrap();
-        write_frame(&mut conn1, &data_frame(1)).unwrap();
-        core.serve_connection(&conn1[..], Some(NoAck)).unwrap();
-        // Connection 2 (reconnect): hello + replayed 1, then 2.
-        let mut conn2 = Vec::new();
-        write_frame(&mut conn2, &Control::Hello { session_id: session, last_acked: 1 }.to_frame())
-            .unwrap();
-        write_frame(&mut conn2, &data_frame(1)).unwrap();
-        write_frame(&mut conn2, &data_frame(2)).unwrap();
-        core.serve_connection(&conn2[..], Some(NoAck)).unwrap();
-        let seqs: Vec<u32> = core.frames().iter().map(|f| f.sequence).collect();
-        assert_eq!(seqs, vec![0, 1, 2], "replay deduplicated across reconnect");
-        assert_eq!(
-            core.anomalies(),
-            &[SeqAnomaly { kind: AnomalyKind::Duplicate, sequence: 1, expected: 2 }]
-        );
-    }
-
-    #[test]
-    fn stalled_stream_fails_with_typed_timeout() {
-        use crate::link::TimedReader;
-        use std::time::Duration;
-        let (writer, reader) = throttled_pipe(None);
-        let mut server = Server::new(TimedReader::new(reader, Duration::from_millis(40)), false);
-        // No bytes ever arrive; the watchdog must fire instead of hanging.
-        let err = server.receive_all().unwrap_err();
-        assert!(matches!(err, NetError::Timeout), "got {err}");
-        drop(writer);
+        // Connection 1: hello + frames 0, 1. Connection 2 (reconnect): hello
+        // + replayed 1, then 2. The replay is deduplicated across the
+        // reconnect because the cursor lives in the session, not the
+        // connection.
+        let fleet = one_tenant(false);
+        let handle = fleet.handle();
+        for (last_acked, seqs) in [(0u32, [0u32, 1]), (1, [1, 2])] {
+            let (mut tx, _acks) = handle.connect(77).unwrap();
+            write_frame(&mut tx, &hello(77, last_acked)).unwrap();
+            for seq in seqs {
+                write_frame(&mut tx, &data_frame(seq)).unwrap();
+            }
+            handle.sync();
+        }
+        let report = fleet.shutdown();
+        let tenant = report.tenant(77).unwrap();
+        assert_eq!(tenant.durable, vec![0, 1, 2], "replay deduplicated across reconnect");
+        assert_eq!((tenant.deduped, tenant.gap_dropped), (1, 0));
     }
 }

@@ -1,8 +1,8 @@
 //! The resilient client session: acked delivery over unreliable transports.
 //!
-//! The wire-v2 [`crate::Client`] is fire-and-forget — fine on a clean pipe,
-//! silently lossy on a real mobile uplink. [`ResilientClient`] layers wire-v3
-//! session semantics on top of any reconnectable transport:
+//! A bare frame writer is fine on a clean pipe and silently lossy on a real
+//! mobile uplink. [`ResilientClient`] layers wire-v3 session semantics on top
+//! of any reconnectable transport:
 //!
 //! * every connection opens with a [`Control::Hello`] carrying the session id
 //!   and the client's acked floor, so the server can deduplicate replays and
@@ -448,86 +448,58 @@ impl<C: Connect> std::fmt::Debug for ResilientClient<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::{throttled_pipe, PipeReader, PipeWriter};
-    use crate::server::SessionServer;
-    use std::sync::mpsc::Sender;
+    use crate::fleet::{FleetConfig, FleetServer, TenantReport};
 
-    /// A connector that hands out fresh pipe pairs and ships the server-side
-    /// halves to an acceptor thread.
-    struct PipeConnector {
-        accept_tx: Sender<(PipeReader, PipeWriter)>,
-    }
-
-    impl Connect for PipeConnector {
-        type Tx = PipeWriter;
-        type Rx = PipeReader;
-        fn connect(&mut self) -> std::io::Result<(PipeWriter, PipeReader)> {
-            let (data_tx, data_rx) = throttled_pipe(None);
-            let (ack_tx, ack_rx) = throttled_pipe(None);
-            self.accept_tx.send((data_rx, ack_tx)).map_err(|_| {
-                std::io::Error::new(std::io::ErrorKind::ConnectionRefused, "server gone")
-            })?;
-            Ok((data_tx, ack_rx))
+    /// Send `frames` payloads through `client` into its one-tenant `fleet`,
+    /// then shut down; returns the client's stats and the tenant report.
+    fn deliver<C: Connect>(
+        fleet: FleetServer,
+        mut client: ResilientClient<C>,
+        frames: u8,
+    ) -> (SessionStats, TenantReport) {
+        for i in 0..frames {
+            client.send_payload(vec![i; 50]).unwrap();
         }
-    }
-
-    fn spawn_server() -> (Sender<(PipeReader, PipeWriter)>, std::thread::JoinHandle<SessionServer>)
-    {
-        let (accept_tx, accept_rx) = channel::<(PipeReader, PipeWriter)>();
-        let handle = std::thread::spawn(move || {
-            let mut core = SessionServer::new(false);
-            while let Ok((rx, ack)) = accept_rx.recv() {
-                let _ = core.serve_connection(rx, Some(ack));
-            }
-            core
-        });
-        (accept_tx, handle)
+        let stats = client.finish().unwrap();
+        let mut report = fleet.shutdown();
+        report.verify_partition().unwrap();
+        (stats, report.tenants.remove(0))
     }
 
     #[test]
     fn clean_session_delivers_in_order_with_acks() {
-        let (accept_tx, server) = spawn_server();
-        let mut client = ResilientClient::new(
-            PipeConnector { accept_tx: accept_tx.clone() },
-            SessionConfig::fast_test(42),
-        );
-        for i in 0..20u8 {
-            client.send_payload(vec![i; 50]).unwrap();
-        }
-        let stats = client.finish().unwrap();
-        drop(accept_tx); // acceptor loop ends
-        let core = server.join().unwrap();
+        let fleet = FleetServer::spawn(FleetConfig::new(1));
+        let h = fleet.handle();
+        let client = ResilientClient::new(move || h.connect(42), SessionConfig::fast_test(42));
+        let (stats, tenant) = deliver(fleet, client, 20);
         assert_eq!(stats.frames_sent, 20);
         assert_eq!(stats.reconnects, 0);
         assert_eq!(stats.retransmits, 0);
-        let seqs: Vec<u32> = core.frames().iter().map(|f| f.sequence).collect();
-        assert_eq!(seqs, (0..20).collect::<Vec<u32>>());
+        assert!(stats.acks_received >= 1);
+        assert_eq!(tenant.durable, (0..20).collect::<Vec<u32>>());
     }
 
     #[test]
     fn dead_first_connection_is_retried() {
-        let (accept_tx, server) = spawn_server();
+        let fleet = FleetServer::spawn(FleetConfig::new(1));
+        let h = fleet.handle();
         let mut fail_budget = 2;
-        let mut inner = PipeConnector { accept_tx: accept_tx.clone() };
         let connector = move || {
             if fail_budget > 0 {
                 fail_budget -= 1;
                 return Err(std::io::Error::new(std::io::ErrorKind::ConnectionRefused, "injected"));
             }
-            inner.connect()
+            h.connect(7)
         };
-        let mut client = ResilientClient::new(connector, SessionConfig::fast_test(7));
-        client.send_payload(vec![1, 2, 3]).unwrap();
-        let stats = client.finish().unwrap();
-        drop(accept_tx);
-        let core = server.join().unwrap();
-        assert_eq!(core.frames().len(), 1);
+        let client = ResilientClient::new(connector, SessionConfig::fast_test(7));
+        let (stats, tenant) = deliver(fleet, client, 1);
+        assert_eq!(tenant.durable, vec![0]);
         assert!(stats.retries >= 2, "both refused connects consumed budget: {stats:?}");
     }
 
     #[test]
     fn retries_exhausted_is_typed() {
-        let connector = || -> std::io::Result<(PipeWriter, PipeReader)> {
+        let connector = || -> std::io::Result<(Vec<u8>, std::io::Empty)> {
             Err(std::io::Error::new(std::io::ErrorKind::ConnectionRefused, "always down"))
         };
         let mut config = SessionConfig::fast_test(1);
@@ -545,42 +517,25 @@ mod tests {
 
     #[test]
     fn mid_session_disconnect_retransmits_unacked_window() {
-        // Connection 1 swallows frames without acking (its server half is
-        // dropped), so the client must time out, reconnect, and replay.
-        let (accept_tx, accept_rx) = channel::<(PipeReader, PipeWriter)>();
-        let server = std::thread::spawn(move || {
-            let mut core = SessionServer::new(false);
-            // First connection: read the hello, ack it, then vanish.
-            let (rx, ack) = accept_rx.recv().unwrap();
-            {
-                let mut reader = FrameReader::new(rx);
-                let (hello, _) = reader.next_frame().unwrap();
-                assert!(matches!(Control::from_frame(&hello), Some(Control::Hello { .. })));
-                let mut ack = ack;
+        // Connection 1 acks the hello, then swallows every frame and hangs
+        // up, so the client must notice, reconnect to the fleet, and replay.
+        let fleet = FleetServer::spawn(FleetConfig::new(1));
+        let h = fleet.handle();
+        let mut first = true;
+        let connector = move || -> std::io::Result<(Box<dyn Write>, Box<dyn Read + Send>)> {
+            if std::mem::take(&mut first) {
+                let mut ack = Vec::new();
                 write_frame(&mut ack, &Control::Ack { session_id: 9, next_expected: 0 }.to_frame())
-                    .unwrap();
-                // Drop rx/ack: frames sent on connection 1 are lost.
+                    .expect("in-memory write");
+                return Ok((Box::new(std::io::sink()), Box::new(std::io::Cursor::new(ack))));
             }
-            while let Ok((rx, ack)) = accept_rx.recv() {
-                let _ = core.serve_connection(rx, Some(ack));
-            }
-            core
-        });
-        let mut client = ResilientClient::new(
-            PipeConnector { accept_tx: accept_tx.clone() },
-            SessionConfig::fast_test(9),
-        );
-        for i in 0..5u8 {
-            client.send_payload(vec![i; 30]).unwrap();
-        }
-        let stats = client.finish().unwrap();
-        drop(accept_tx);
-        let core = server.join().unwrap();
-        let seqs: Vec<u32> = core.frames().iter().map(|f| f.sequence).collect();
-        assert_eq!(seqs, vec![0, 1, 2, 3, 4], "all frames stored exactly once, in order");
+            let (tx, rx) = h.connect(9)?;
+            Ok((Box::new(tx), Box::new(rx)))
+        };
+        let client = ResilientClient::new(connector, SessionConfig::fast_test(9));
+        let (stats, tenant) = deliver(fleet, client, 5);
+        assert_eq!(tenant.durable, vec![0, 1, 2, 3, 4], "all frames stored exactly once, in order");
         assert!(stats.reconnects >= 1, "{stats:?}");
-        // How many frames needed replay depends on when the dead pipe's
-        // writes started failing; at least the first frame always does.
-        assert!(stats.retransmits >= 1, "{stats:?}");
+        assert_eq!(stats.retransmits, 5, "the whole lost window is replayed: {stats:?}");
     }
 }

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use dbgc_net::fleet_chaos::{run_fleet_chaos, FleetChaosConfig, FleetChaosReport, FleetTransport};
-use dbgc_net::OverloadPolicy;
+use dbgc_net::{FaultProfile, OverloadPolicy};
 
 fn assert_recovers(config: &FleetChaosConfig) -> FleetChaosReport {
     let report = run_fleet_chaos(config);
@@ -23,12 +23,17 @@ fn assert_recovers(config: &FleetChaosConfig) -> FleetChaosReport {
 
 /// The seed-indexed sweep shape: every fourth seed runs with tight
 /// `DropOldest` budgets so load shedding is exercised *inside* the sweep,
-/// not only in dedicated tests.
+/// not only in dedicated tests, and seeds above 700 run the hostile profile.
 fn sweep_config(seed: u64) -> FleetChaosConfig {
-    if seed % 4 == 0 {
+    let config = if seed % 4 == 0 {
         FleetChaosConfig::shedding(seed)
     } else {
         FleetChaosConfig::smoke(seed)
+    };
+    if seed > 700 {
+        FleetChaosConfig { profile: FaultProfile::hostile(), ..config }
+    } else {
+        config
     }
 }
 
@@ -200,9 +205,10 @@ fn tcp_sweep_200_seeds() {
     assert!(failures.is_empty(), "{} seeds failed:\n{}", failures.len(), failures.join("\n"));
 }
 
-/// The acceptance sweep: 1000 seeded fleet storms, every one holding the
-/// fleet-wide exactly-once partition. Ignored by default (minutes of wall
-/// clock); run with `--release -- --ignored`.
+/// The acceptance sweep: 1000 seeded fleet storms (seeds 701–1000 under
+/// the hostile profile), every one holding the fleet-wide exactly-once
+/// partition. Ignored by default (minutes of wall clock); run with
+/// `--release -- --ignored`.
 #[test]
 #[ignore = "full acceptance sweep; run with --release -- --ignored"]
 fn sweep_1000_seeds() {

@@ -16,7 +16,7 @@
 //! * [`plan`] — a conservative three-valued planner that folds a query over
 //!   directory metadata into per-section [`Verdict`]s;
 //! * [`FrameStore`] — the archive: ingests streamed frames (including
-//!   wire-v3 [`dbgc_net::SessionServer`] hand-off), answers queries by
+//!   [`dbgc_net::FleetHandle::drain`] hand-off), answers queries by
 //!   *partial decode* — seeking straight to the sections the planner could
 //!   not rule out, re-initialising entropy state per section — and degrades
 //!   to a full-decode fallback (counted in the `store.index_fallbacks`

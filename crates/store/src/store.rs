@@ -150,8 +150,8 @@ impl FrameStore {
         Ok(id)
     }
 
-    /// Archive every frame a wire-v3 session server handed over (see
-    /// [`dbgc_net::SessionServer::into_frames`]), stamping frame `seq` with
+    /// Archive every frame one fleet tenant handed over (see
+    /// [`dbgc_net::FleetHandle::drain`]), stamping frame `seq` with
     /// `t0_us + seq * frame_period_us`. Returns the assigned ids.
     pub fn archive_session(
         &mut self,

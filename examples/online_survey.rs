@@ -1,10 +1,11 @@
 //! Online remote survey: a sensor streams frames through DBGC over a
 //! simulated 4G uplink to a storage server (paper §3.1 / §4.4).
 //!
-//! The client compresses each frame and writes it to a bandwidth-throttled
-//! pipe modelling the 8.2 Mbps mobile uplink; the server decompresses and
-//! stores. The run reports per-frame latency and confirms the compressed
-//! stream fits the uplink while the raw stream would not.
+//! The sensor compresses each frame and sends it through a resilient session
+//! over a bandwidth-throttled pipe modelling the 8.2 Mbps mobile uplink; a
+//! one-tenant fleet decompresses and stores. The run reports per-frame
+//! latency and confirms the compressed stream fits the uplink while the raw
+//! stream would not.
 //!
 //! A second scenario replays the same uplink with injected faults — bit
 //! flips, truncations, mid-frame disconnects, stalls, and bandwidth
@@ -16,37 +17,56 @@
 //! cargo run --release -p dbgc-examples --bin online_survey
 //! ```
 
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use dbgc::Dbgc;
 use dbgc_lidar_sim::{frame, ScenePreset};
 use dbgc_net::link::{throttled_pipe, LinkModel};
-use dbgc_net::{Client, Server};
+use dbgc_net::{FleetConfig, FleetServer, ResilientClient, SessionConfig};
 
 const FRAMES: u32 = 5;
 const FPS: f64 = 10.0;
+const SENSOR: u64 = 1;
 
 fn main() {
     let uplink = LinkModel::mobile_4g();
-    let (writer, reader) = throttled_pipe(Some(uplink));
+    let mut config = FleetConfig::new(1);
+    config.decompress = true;
+    let fleet = FleetServer::spawn(config);
 
-    let producer = std::thread::spawn(move || {
-        let mut client = Client::new(Dbgc::with_error_bound(0.02), writer);
-        let mut sent = Vec::new();
-        for k in 0..FRAMES {
-            let cloud = frame(ScenePreset::KittiCampus, 7, k);
-            let t = Instant::now();
-            let compressed = client.send_cloud(&cloud).expect("send");
-            sent.push((cloud.len(), compressed.bytes.len(), t.elapsed()));
-        }
-        sent
-    });
-
-    let mut server = Server::new(reader, true);
+    // Every connection runs through its own throttled pipe into the fleet;
+    // a forwarding thread per connection ends when the client hangs up.
+    let handle = fleet.handle();
+    let forwarders = Arc::new(Mutex::new(Vec::new()));
+    let spawned = Arc::clone(&forwarders);
+    let connector = move || {
+        let (mut to_fleet, acks) = handle.connect(SENSOR)?;
+        let (uplink_tx, mut uplink_rx) = throttled_pipe(Some(uplink));
+        let forward = std::thread::spawn(move || std::io::copy(&mut uplink_rx, &mut to_fleet));
+        spawned.lock().expect("forwarder list").push(forward);
+        Ok((uplink_tx, acks))
+    };
+    let mut client = ResilientClient::new(connector, SessionConfig::new(SENSOR));
+    let compressor = Dbgc::with_error_bound(0.02);
     let t0 = Instant::now();
-    let received = server.receive_all().expect("stream intact");
+    let mut sent = Vec::new();
+    for k in 0..FRAMES {
+        let cloud = frame(ScenePreset::KittiCampus, 7, k);
+        let t = Instant::now();
+        let compressed = compressor.compress(&cloud).expect("compress");
+        let bytes = compressed.bytes.len();
+        client.send_payload(compressed.bytes).expect("send");
+        sent.push((cloud.len(), bytes, t.elapsed()));
+    }
+    client.finish().expect("every frame acknowledged");
     let wall = t0.elapsed();
-    let sent = producer.join().expect("producer thread");
+    for forward in forwarders.lock().expect("forwarder list").drain(..) {
+        let _ = forward.join().expect("forwarder thread");
+    }
+    let report = fleet.shutdown();
+    let stored = &report.tenant(SENSOR).expect("sensor admitted").resident_frames;
+    let received = stored.len();
 
     println!("streamed {received} frames over a {:.1} Mbps uplink", uplink.bits_per_second / 1e6);
     let mut total_bytes = 0usize;
@@ -69,8 +89,8 @@ fn main() {
         uplink.bits_per_second / 1e6,
         if need <= uplink.bits_per_second / 1e6 { "FEASIBLE" } else { "infeasible" }
     );
-    for stored in server.frames() {
-        assert!(stored.cloud.is_some(), "server decompressed every frame");
+    for frame in stored {
+        assert!(frame.cloud.is_some(), "server decompressed every frame");
     }
 
     faulty_uplink_scenario();
@@ -78,19 +98,20 @@ fn main() {
 
 /// The same 4G uplink, now hostile: a seeded fault schedule corrupts,
 /// truncates, stalls, and disconnects the link mid-stream while the
-/// resilient session retries, reconnects, and retransmits until the store
+/// resilient session retries, reconnects, and retransmits until the fleet
 /// holds every frame exactly once, in order.
 fn faulty_uplink_scenario() {
-    use dbgc_net::chaos::{run_chaos, ChaosConfig};
+    use dbgc_net::fleet_chaos::{run_fleet_chaos, FleetChaosConfig};
 
     println!();
     println!("--- degraded 4G uplink (seeded fault injection) ---");
-    let config = ChaosConfig::smoke(42);
-    let report = run_chaos(&config);
+    let config =
+        FleetChaosConfig { tenants: 1, frames_per_tenant: 16, ..FleetChaosConfig::smoke(42) };
+    let report = run_fleet_chaos(&config);
     let mut by_kind: Vec<String> = Vec::new();
     for (kind, n) in ["bit-flip", "drop", "disconnect", "stall", "duplicate", "reorder", "collapse"]
         .iter()
-        .zip(report.faults_by_kind.iter())
+        .zip(report.outcomes[0].faults_by_kind.iter())
     {
         if *n > 0 {
             by_kind.push(format!("{kind} x{n}"));
@@ -104,7 +125,7 @@ fn faulty_uplink_scenario() {
     match report.verify() {
         Ok(()) => println!(
             "all {} frames recovered exactly once, in order -> degraded-link streaming SURVIVES",
-            report.frames_sent
+            report.frames_per_tenant
         ),
         Err(e) => println!("recovery FAILED: {e}"),
     }

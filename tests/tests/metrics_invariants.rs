@@ -100,62 +100,81 @@ fn recording_is_bitstream_invariant() {
 
 #[test]
 fn net_server_counters_match_corrupt_frame_recovery() {
-    use dbgc_net::{write_frame, Server, WireFrame};
+    use dbgc_net::fleet::{FleetConfig, FleetServer};
+    use dbgc_net::{write_frame, Control, WireFrame};
+    use std::io::Write;
 
-    // Three frames on the wire, the middle one corrupted: the server must
-    // store 2, drop 1, and its counters must say exactly that.
+    // A session's wire: hello, frames 0..3 with the middle one corrupted,
+    // then frames 1 and 2 again as go-back-N resends them. The fleet must
+    // store all three in order, and its counters must say exactly how.
     let (cloud, meta) = small_frame(ScenePreset::KittiRoad, 5);
     let dbgc = Dbgc::new(small_config(Q, meta));
+    let payloads: Vec<Vec<u8>> =
+        (0..3).map(|_| dbgc.compress(&cloud).expect("compress").bytes).collect();
     let mut buf = Vec::new();
-    let mut offsets = vec![0usize];
-    let mut payload_sizes = Vec::new();
-    for i in 0..3u32 {
-        let payload = dbgc.compress(&cloud).expect("compress").bytes;
-        payload_sizes.push(payload.len());
-        write_frame(&mut buf, &WireFrame { sequence: i, payload }).expect("write frame");
+    write_frame(&mut buf, &Control::Hello { session_id: 1, last_acked: 0 }.to_frame())
+        .expect("write hello");
+    let mut offsets = vec![buf.len()];
+    for (i, payload) in payloads.iter().enumerate() {
+        write_frame(&mut buf, &WireFrame { sequence: i as u32, payload: payload.clone() })
+            .expect("write frame");
         offsets.push(buf.len());
     }
     let mid = (offsets[1] + offsets[2]) / 2;
     for d in 0..3 {
         buf[mid + d * 7] ^= 0x55;
     }
+    for i in 1..3u32 {
+        write_frame(&mut buf, &WireFrame { sequence: i, payload: payloads[i as usize].clone() })
+            .expect("write resend");
+    }
 
-    let collector = Collector::new();
-    let mut server = Server::new(&buf[..], true).with_metrics(&collector);
-    let received = server.receive_all().expect("stream drains");
-    assert_eq!(received, 2);
-    assert_eq!(server.dropped().len(), 1);
+    let mut config = FleetConfig::new(1);
+    config.decompress = true;
+    let fleet = FleetServer::spawn(config);
+    let handle = fleet.handle();
+    let (mut tx, _acks) = handle.connect(1).expect("connect");
+    tx.write_all(&buf).expect("feed the wire");
+    handle.sync();
+    drop(tx);
+    let snap = handle.metrics().snapshot();
+    let report = fleet.shutdown();
+    report.verify_partition().expect("partition holds");
+    let tenant = report.tenant(1).expect("tenant admitted");
+    assert_eq!(tenant.durable, vec![0, 1, 2]);
 
-    let snap = collector.snapshot();
-    assert_eq!(snap.counters["net.frames_received"], 2);
-    assert_eq!(snap.counters["net.frames_dropped"], server.dropped().len() as u64);
+    assert_eq!(snap.counters["net.frames_received"], 3);
+    assert_eq!(snap.counters["net.frames_intact"], 4, "0, 2 (gap), 1, 2");
+    assert_eq!(snap.counters["net.frames_gap_dropped"], 1);
+    assert_eq!(snap.counters["net.frames_dropped"], 1);
     assert_eq!(snap.counters["net.resyncs"], 1);
-    assert_eq!(snap.counters["net.bytes_skipped"], server.dropped()[0].bytes_skipped);
-    assert!(snap.counters["net.bytes_skipped"] > 0);
-    let stored_bytes: u64 = server.frames().iter().map(|f| f.bytes.len() as u64).sum();
+    assert_eq!(snap.counters["net.bytes_skipped"], (offsets[2] - offsets[1]) as u64);
+    let stored_bytes: u64 = payloads.iter().map(|p| p.len() as u64).sum();
     assert_eq!(snap.counters["net.bytes_received"], stored_bytes);
-    // Two decoded frames => two decompress span trees, all well-formed.
-    assert_eq!(snap.spans.iter().filter(|s| s.name == "decompress").count(), 2);
+    // Three decoded frames => three decompress span trees, all well-formed.
+    assert_eq!(snap.spans.iter().filter(|s| s.name == "decompress").count(), 3);
     snap.validate_spans().expect("server span trees well-formed");
-    assert_eq!(snap.counters["decompress.frames"], 2);
+    assert_eq!(snap.counters["decompress.frames"], 3);
 }
 
 #[test]
 fn chaos_counters_partition_intact_frames() {
-    use dbgc_net::chaos::{run_chaos, ChaosConfig};
+    use dbgc_net::fleet_chaos::{run_fleet_chaos, FleetChaosConfig};
 
-    // For every chaos smoke seed: each frame the link delivered intact was
-    // either stored, deduplicated, dropped as an out-of-order gap arrival,
-    // or failed decompression — exactly one of the four, so the counters
-    // must partition `net.frames_intact` with nothing left over.
+    // For every fleet chaos smoke seed: each frame the link delivered intact
+    // was either stored, deduplicated, dropped as an out-of-order gap
+    // arrival, or failed decompression — exactly one of the four, so the
+    // counters must partition `net.frames_intact` with nothing left over.
     for seed in 1..=8u64 {
-        let report = run_chaos(&ChaosConfig::smoke(seed));
+        let config = FleetChaosConfig::smoke(seed);
+        let report = run_fleet_chaos(&config);
         report.verify().unwrap_or_else(|e| panic!("{e}\n{}", report.summary()));
-        let intact = report.counter("net.frames_intact");
-        let partition = report.counter("net.frames_stored")
-            + report.counter("net.frames_deduped")
-            + report.counter("net.frames_gap_dropped")
-            + report.counter("net.decode_failures");
+        let fleet = &report.fleet;
+        let intact = fleet.counter("net.frames_intact");
+        let partition = fleet.counter("net.frames_stored")
+            + fleet.counter("net.frames_deduped")
+            + fleet.counter("net.frames_gap_dropped")
+            + fleet.counter("net.decode_failures");
         assert!(intact > 0, "seed {seed}: no intact frames counted\n{}", report.summary());
         assert_eq!(
             intact,
@@ -163,7 +182,8 @@ fn chaos_counters_partition_intact_frames() {
             "seed {seed}: counters must partition intact frames\n{}",
             report.summary()
         );
-        assert_eq!(report.counter("net.frames_stored"), report.frames_sent as u64);
+        let sent = (config.tenants * config.frames_per_tenant) as u64;
+        assert_eq!(fleet.counter("net.frames_stored"), sent);
     }
 }
 

@@ -1,30 +1,50 @@
-//! End-to-end network tests: sensor → client → link → server → verification.
+//! End-to-end network tests: sensor → client → link → fleet → verification.
 
 mod common;
 
+use std::sync::Arc;
+
 use common::{small_config, small_frame};
-use dbgc::Dbgc;
+use dbgc::{CompressedFrame, Dbgc};
+use dbgc_geom::PointCloud;
 use dbgc_lidar_sim::ScenePreset;
-use dbgc_net::link::{throttled_pipe, LinkModel};
-use dbgc_net::{Client, Server};
+use dbgc_net::fleet::{FleetConfig, FleetServer, TenantReport};
+use dbgc_net::link::LinkModel;
+use dbgc_net::session::{ResilientClient, SessionConfig};
+
+/// A one-tenant in-process fleet: the single-sensor server.
+fn one_tenant(decompress: bool) -> FleetServer {
+    let mut config = FleetConfig::new(1);
+    config.decompress = decompress;
+    FleetServer::spawn(config)
+}
+
+/// Deliver `payloads` as session `sid` through a resilient client into a
+/// one-tenant fleet, and return the tenant's shutdown report.
+fn deliver(decompress: bool, sid: u64, payloads: Vec<Vec<u8>>) -> TenantReport {
+    let fleet = one_tenant(decompress);
+    let handle = fleet.handle();
+    let mut client =
+        ResilientClient::new(move || handle.connect(sid), SessionConfig::fast_test(sid));
+    for payload in payloads {
+        client.send_payload(payload).unwrap();
+    }
+    client.finish().unwrap();
+    let mut report = fleet.shutdown();
+    report.verify_partition().unwrap();
+    report.tenants.remove(0)
+}
 
 #[test]
 fn stream_three_frames_over_memory_pipe() {
     let frames_meta: Vec<_> = (0..3).map(|k| small_frame(ScenePreset::KittiCity, 20 + k)).collect();
     let meta = frames_meta[0].1;
     let clouds: Vec<_> = frames_meta.into_iter().map(|(c, _)| c).collect();
-    let (writer, reader) = throttled_pipe(None);
-    let producer = {
-        let clouds = clouds.clone();
-        std::thread::spawn(move || {
-            let mut client = Client::new(Dbgc::new(small_config(0.02, meta)), writer);
-            clouds.iter().map(|c| client.send_cloud(c).unwrap()).collect::<Vec<_>>()
-        })
-    };
-    let mut server = Server::new(reader, true);
-    assert_eq!(server.receive_all().unwrap(), 3);
-    let frames = producer.join().unwrap();
-    for ((cloud, stored), frame) in clouds.iter().zip(server.frames()).zip(&frames) {
+    let compressor = Dbgc::new(small_config(0.02, meta));
+    let frames: Vec<_> = clouds.iter().map(|c| compressor.compress(c).unwrap()).collect();
+    let tenant = deliver(true, 1, frames.iter().map(|f| f.bytes.clone()).collect());
+    assert_eq!(tenant.durable, vec![0, 1, 2]);
+    for ((cloud, stored), frame) in clouds.iter().zip(&tenant.resident_frames).zip(&frames) {
         let restored = stored.cloud.as_ref().expect("decompressed");
         dbgc::verify_roundtrip(cloud, restored, frame, 0.02).expect("bound holds");
     }
@@ -32,25 +52,22 @@ fn stream_three_frames_over_memory_pipe() {
 
 #[test]
 fn stream_over_tcp_localhost() {
-    use dbgc_net::{accept_with_deadline, connect_with_deadline};
-    use std::net::TcpListener;
+    use dbgc_net::tcp::{TcpConnector, TcpFleetServer, TcpTuning};
     use std::time::Duration;
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
+    let mut config = FleetConfig::new(1);
+    config.decompress = true;
+    let server = TcpFleetServer::bind("127.0.0.1:0", config, TcpTuning::fast_test())
+        .expect("bind loopback fleet");
     let (cloud, meta) = small_frame(ScenePreset::KittiRoad, 30);
-    let client_cloud = cloud.clone();
-    let producer = std::thread::spawn(move || -> Result<dbgc::CompressedFrame, String> {
-        let stream = connect_with_deadline(addr, Duration::from_secs(5))
-            .map_err(|e| format!("connect: {e}"))?;
-        let mut client = Client::new(Dbgc::new(small_config(0.02, meta)), stream);
-        client.send_cloud(&client_cloud).map_err(|e| format!("send: {e}"))
-    });
-    let (stream, _) =
-        accept_with_deadline(&listener, Duration::from_secs(5)).expect("bounded accept");
-    let mut server = Server::new(stream, true);
-    assert_eq!(server.receive_all().expect("receive"), 1);
-    let frame = producer.join().expect("producer thread").expect("producer result");
-    let restored = server.frames()[0].cloud.as_ref().unwrap();
+    let frame = Dbgc::new(small_config(0.02, meta)).compress(&cloud).unwrap();
+    let connector = TcpConnector::new(server.local_addr())
+        .with_timeouts(Duration::from_millis(500), Some(Duration::from_millis(500)));
+    let mut client = ResilientClient::new(connector, SessionConfig::fast_test(5));
+    client.send_payload(frame.bytes.clone()).expect("send");
+    client.finish().expect("finish");
+    let report = server.shutdown();
+    let (_, stored) = report.drained.iter().find(|(sid, _)| *sid == 5).expect("session drained");
+    let restored = stored[0].cloud.as_ref().expect("decompressed");
     dbgc::verify_roundtrip(&cloud, restored, &frame, 0.02).expect("bound holds");
 }
 
@@ -73,45 +90,88 @@ fn compressed_stream_fits_4g_where_raw_does_not() {
     assert!(raw_mbps > 8.2 * 10.0, "raw stream must dwarf 4G ({raw_mbps:.1} Mbps)");
 }
 
-#[test]
-fn corrupt_frame_mid_stream_is_dropped_and_stream_recovers() {
-    // Client sends three frames; the link flips bytes inside the second.
-    // The server must drop exactly that frame, record the error, and decode
-    // the frames on either side of it.
+/// Three compressed frames as one session's wire (hello first), with a
+/// burst of bit flips inside frame 1's payload. Returns the clouds, their
+/// frames, the corrupted wire and the flipped offsets.
+fn corrupted_session() -> (Vec<PointCloud>, Vec<CompressedFrame>, Vec<u8>, Vec<u64>) {
+    use dbgc_net::{write_frame, Control, WireFrame};
     let frames_meta: Vec<_> = (0..3).map(|k| small_frame(ScenePreset::KittiCity, 40 + k)).collect();
     let meta = frames_meta[0].1;
     let clouds: Vec<_> = frames_meta.into_iter().map(|(c, _)| c).collect();
-
     let compressor = Dbgc::new(small_config(0.02, meta));
+    let frames: Vec<_> = clouds.iter().map(|c| compressor.compress(c).unwrap()).collect();
     let mut wire = Vec::new();
-    let mut boundaries = vec![0usize];
-    let frames: Vec<_> = clouds
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let f = compressor.compress(c).unwrap();
-            dbgc_net::write_frame(
-                &mut wire,
-                &dbgc_net::WireFrame { sequence: i as u32, payload: f.bytes.clone() },
-            )
+    write_frame(&mut wire, &Control::Hello { session_id: 1, last_acked: 0 }.to_frame()).unwrap();
+    let mut boundaries = vec![wire.len()];
+    for (i, f) in frames.iter().enumerate() {
+        write_frame(&mut wire, &WireFrame { sequence: i as u32, payload: f.bytes.clone() })
             .unwrap();
-            boundaries.push(wire.len());
-            f
-        })
-        .collect();
-    // Flip a burst of bytes in the middle of frame 1's payload.
-    let mid = (boundaries[1] + boundaries[2]) / 2;
-    for k in 0..4 {
-        wire[mid + k * 9] ^= 0x5A;
+        boundaries.push(wire.len());
     }
+    let mid = (boundaries[1] + boundaries[2]) / 2;
+    let flips: Vec<u64> = (0..4).map(|k| (mid + k * 9) as u64).collect();
+    for &at in &flips {
+        wire[at as usize] ^= 0x10;
+    }
+    (clouds, frames, wire, flips)
+}
 
-    let mut server = Server::new(&wire[..], true);
-    assert_eq!(server.receive_all().unwrap(), 2, "frames 0 and 2 survive");
-    assert_eq!(server.dropped().len(), 1, "the corrupt frame is logged");
-    assert!(server.dropped()[0].bytes_skipped > 0);
-    assert_eq!(server.frames()[0].sequence, 0);
-    assert_eq!(server.frames()[1].sequence, 2);
-    for (stored, idx) in server.frames().iter().zip([0usize, 2]) {
+#[test]
+fn corrupt_frame_mid_stream_is_dropped_and_stream_recovers() {
+    // Written raw, the session stores frame 0, resynchronizes past the
+    // corrupt frame 1 and gap-drops frame 2 for go-back-N to re-deliver.
+    use std::io::Write;
+    let (clouds, frames, wire, _) = corrupted_session();
+    let fleet = one_tenant(true);
+    let handle = fleet.handle();
+    let (mut tx, _acks) = handle.connect(1).unwrap();
+    tx.write_all(&wire).unwrap();
+    handle.sync();
+    drop(tx);
+    let mut report = fleet.shutdown();
+    report.verify_partition().unwrap();
+    let tenant = report.tenants.remove(0);
+    assert_eq!(tenant.durable, vec![0], "only the frame before the damage is in order");
+    assert_eq!(tenant.resyncs, 1, "the corrupt frame is skipped as one region");
+    assert_eq!(tenant.gap_dropped, 1, "frame 2 waits for go-back-N");
+    assert_eq!(tenant.decode_failures, 0);
+    let restored = tenant.resident_frames[0].cloud.as_ref().expect("decompressed");
+    dbgc::verify_roundtrip(&clouds[0], restored, &frames[0], 0.02).expect("bound holds");
+}
+
+#[test]
+fn corrupt_frame_mid_stream_is_redelivered_by_go_back_n() {
+    // A resilient client over a link that flips the same bits: its stream
+    // has the same layout (a hello of the same length, then the frames), so
+    // the damage lands in frame 1, and go-back-N re-delivers frames 1 and 2
+    // in order.
+    use dbgc_net::{FaultEvent, FaultSchedule, FaultyLink};
+    let (clouds, frames, _, flips) = corrupted_session();
+    let schedule = FaultSchedule::from_events(
+        flips.iter().map(|&at| FaultEvent::FlipBit { at, bit: 4 }).collect(),
+    );
+    let state = schedule.into_state();
+    let fleet = one_tenant(true);
+    let handle = fleet.handle();
+    let link = Arc::clone(&state);
+    let connector = move || {
+        let (tx, rx) = handle.connect(2)?;
+        Ok((FaultyLink::new(tx, Arc::clone(&link)), rx))
+    };
+    let mut client = ResilientClient::new(connector, SessionConfig::fast_test(2));
+    for f in &frames {
+        client.send_payload(f.bytes.clone()).unwrap();
+    }
+    let stats = client.finish().unwrap();
+    assert_eq!(state.lock().unwrap().events_applied(), 4, "every flip landed");
+    let mut report = fleet.shutdown();
+    report.verify_partition().unwrap();
+    let tenant = report.tenants.remove(0);
+    assert_eq!(tenant.durable, vec![0, 1, 2], "go-back-N re-delivered frames 1 and 2");
+    assert_eq!(tenant.resyncs, 1);
+    assert!(tenant.gap_dropped >= 1);
+    assert!(stats.retransmits >= 2, "{stats:?}");
+    for (stored, idx) in tenant.resident_frames.iter().zip(0..) {
         let restored = stored.cloud.as_ref().expect("decompressed");
         dbgc::verify_roundtrip(&clouds[idx], restored, &frames[idx], 0.02).expect("bound holds");
     }
@@ -291,16 +351,12 @@ fn tcp_graceful_drain_archives_into_frame_store() {
 #[test]
 fn store_mode_keeps_exact_bytes() {
     let (cloud, meta) = small_frame(ScenePreset::ApolloUrban, 32);
-    let (writer, reader) = throttled_pipe(None);
-    let producer = std::thread::spawn(move || {
-        let mut client = Client::new(Dbgc::new(small_config(0.02, meta)), writer);
-        client.send_cloud(&cloud).unwrap().bytes
-    });
-    let mut server = Server::new(reader, false);
-    server.receive_all().unwrap();
-    let bytes = producer.join().unwrap();
-    assert_eq!(server.frames()[0].bytes, bytes);
+    let bytes = Dbgc::new(small_config(0.02, meta)).compress(&cloud).unwrap().bytes;
+    let tenant = deliver(false, 3, vec![bytes.clone()]);
+    let stored = &tenant.resident_frames[0];
+    assert_eq!(stored.bytes, bytes);
+    assert!(stored.cloud.is_none(), "store mode bypasses decompression");
     // Stored bytes remain decompressible later.
-    let (restored, _) = dbgc::decompress(&server.frames()[0].bytes).unwrap();
+    let (restored, _) = dbgc::decompress(&stored.bytes).unwrap();
     assert!(!restored.is_empty());
 }

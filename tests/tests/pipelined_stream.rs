@@ -6,14 +6,19 @@ mod common;
 use common::{small_config, small_frame};
 use dbgc::Dbgc;
 use dbgc_lidar_sim::ScenePreset;
-use dbgc_net::protocol::{write_frame, WireFrame};
-use dbgc_net::{PipelinedCompressor, Server};
+use dbgc_net::PipelinedCompressor;
 
 #[test]
 fn pipelined_frames_stream_in_order_over_tcp() {
-    use std::net::{TcpListener, TcpStream};
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
+    use dbgc_net::fleet::FleetConfig;
+    use dbgc_net::session::{ResilientClient, SessionConfig};
+    use dbgc_net::tcp::{TcpConnector, TcpFleetServer, TcpTuning};
+    use std::time::Duration;
+
+    let mut config = FleetConfig::new(1);
+    config.decompress = true;
+    let server = TcpFleetServer::bind("127.0.0.1:0", config, TcpTuning::fast_test()).unwrap();
+    let addr = server.local_addr();
 
     let frames_meta: Vec<_> =
         (0..4).map(|k| small_frame(ScenePreset::KittiCampus, 70 + k)).collect();
@@ -27,30 +32,25 @@ fn pipelined_frames_stream_in_order_over_tcp() {
             for c in &clouds {
                 pipe.submit(c.clone());
             }
-            let mut transport = TcpStream::connect(addr).unwrap();
-            let mut seq = 0u32;
+            let connector = TcpConnector::new(addr)
+                .with_timeouts(Duration::from_millis(500), Some(Duration::from_millis(500)));
+            let mut client = ResilientClient::new(connector, SessionConfig::fast_test(8));
             let mut sent = Vec::new();
             while let Some(result) = pipe.next_ordered() {
                 let frame = result.expect("finite clouds compress");
-                write_frame(
-                    &mut transport,
-                    &WireFrame { sequence: seq, payload: frame.bytes.clone() },
-                )
-                .unwrap();
-                seq += 1;
+                client.send_payload(frame.bytes.clone()).unwrap();
                 sent.push(frame);
             }
+            client.finish().unwrap();
             sent
         })
     };
-
-    let (stream, _) = listener.accept().unwrap();
-    let mut server = Server::new(stream, true);
-    let received = server.receive_all().unwrap();
     let sent = producer.join().unwrap();
+    let report = server.shutdown();
+    let (_, stored) = report.drained.iter().find(|(sid, _)| *sid == 8).expect("session drained");
 
-    assert_eq!(received, clouds.len());
-    for ((i, stored), frame) in server.frames().iter().enumerate().zip(&sent) {
+    assert_eq!(stored.len(), clouds.len());
+    for ((i, stored), frame) in stored.iter().enumerate().zip(&sent) {
         assert_eq!(stored.sequence, i as u32);
         let restored = stored.cloud.as_ref().expect("decompressed");
         // In-order delivery: frame i must match cloud i.

@@ -289,32 +289,33 @@ fn lying_index_counts_fall_back_at_query_time() {
 
 #[test]
 fn session_server_handoff_archives_and_time_queries() {
-    use dbgc_net::link::throttled_pipe;
-    use dbgc_net::{Client, Server};
+    use dbgc_net::fleet::{FleetConfig, FleetServer};
+    use dbgc_net::session::{ResilientClient, SessionConfig};
 
     let frames_meta: Vec<_> = (0..3).map(|k| small_frame(ScenePreset::KittiCity, 70 + k)).collect();
     let meta = frames_meta[0].1;
     let clouds: Vec<_> = frames_meta.into_iter().map(|(c, _)| c).collect();
 
-    let (writer, reader) = throttled_pipe(None);
-    let producer = {
-        let clouds = clouds.clone();
-        std::thread::spawn(move || {
-            let cfg = small_config(Q, meta).with_spatial_index(true);
-            let mut client = Client::new(Dbgc::new(cfg), writer);
-            for c in &clouds {
-                client.send_cloud(c).unwrap();
-            }
-        })
+    let fleet = FleetServer::spawn(FleetConfig::new(1));
+    let handle = fleet.handle();
+    let connector = {
+        let handle = handle.clone();
+        move || handle.connect(11)
     };
-    let mut server = Server::new(reader, false);
-    assert_eq!(server.receive_all().unwrap(), 3);
-    producer.join().unwrap();
+    let mut client = ResilientClient::new(connector, SessionConfig::fast_test(11));
+    let dbgc = Dbgc::new(small_config(Q, meta).with_spatial_index(true));
+    for c in &clouds {
+        client.send_payload(dbgc.compress(c).unwrap().bytes).unwrap();
+    }
+    client.finish().unwrap();
 
     // Hand the session's frames to the archive: 10 fps starting at t0.
     let (t0, period) = (1_000_000u64, 100_000u64);
-    let stored = server.drain_frames();
-    assert_eq!(stored.len(), 3);
+    let mut drained = handle.drain();
+    assert_eq!(drained.len(), 1, "one tenant");
+    let (sid, stored) = drained.remove(0);
+    assert_eq!((sid, stored.len()), (11, 3));
+    fleet.shutdown().verify_partition().unwrap();
     let frame_bytes: Vec<Vec<u8>> = stored.iter().map(|f| f.bytes.clone()).collect();
     let mut store = FrameStore::new();
     store.archive_session(stored, t0, period).unwrap();
