@@ -235,13 +235,18 @@ pub fn build_seed_inputs_sized(seed: u64, h_samples: u32) -> Vec<SeedInput> {
         .compress(&cloud)
         .expect("seed frame compresses")
         .bytes;
-    // A wide-profile (version 3) stream rides along as a second Dbgc seed,
-    // so mutations and regression inputs exercise the four-lane decode path
+    // Dual (version 2: two-lane occupancy, one-lane sparse frames) and wide
+    // (version 3: four lanes everywhere) streams ride along as extra Dbgc
+    // seeds, so mutations and regression inputs exercise every lane layout
     // (per-lane renormalization, lane-length framing) as deeply as v1.
-    let wide_bytes = dbgc::Dbgc::new(cfg.clone().with_entropy_profile(dbgc::EntropyProfile::Wide))
-        .compress(&cloud)
-        .expect("seed frame compresses")
-        .bytes;
+    let profile_bytes = |profile| {
+        dbgc::Dbgc::new(cfg.clone().with_entropy_profile(profile))
+            .compress(&cloud)
+            .expect("seed frame compresses")
+            .bytes
+    };
+    let dual_bytes = profile_bytes(dbgc::EntropyProfile::Dual);
+    let wide_bytes = profile_bytes(dbgc::EntropyProfile::Wide);
     let dbgc_bytes = dbgc::Dbgc::new(cfg).compress(&cloud).expect("seed frame compresses").bytes;
 
     let xy: Vec<(f64, f64)> = points.iter().map(|p| (p.x, p.y)).collect();
@@ -256,6 +261,7 @@ pub fn build_seed_inputs_sized(seed: u64, h_samples: u32) -> Vec<SeedInput> {
 
     vec![
         SeedInput { target: Target::Dbgc, bytes: dbgc_bytes },
+        SeedInput { target: Target::Dbgc, bytes: dual_bytes },
         SeedInput { target: Target::Dbgc, bytes: wide_bytes },
         SeedInput {
             target: Target::OctreeBaseline,

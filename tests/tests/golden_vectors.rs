@@ -166,28 +166,39 @@ fn golden_vectors_all_presets() {
 }
 
 #[test]
+fn golden_vectors_dual_profile() {
+    profile_goldens(dbgc::EntropyProfile::Dual, "dual", 2);
+}
+
+#[test]
 fn golden_vectors_wide_profile() {
-    // Version-3 (wide entropy profile) goldens live beside the v1 set as
-    // `{preset}-wide.dbgc` + `manifest_wide.txt`. Blessing the wide set never
-    // rewrites the v1 files, so v1 streams stay byte-identical by
-    // construction; and a wide stream must decode to the *same* coordinate
-    // bit pattern as the narrow golden — the profile changes transport, not
-    // reconstruction — so `cloud_fnv` is cross-checked against the v1
-    // manifest, not independently blessed.
+    profile_goldens(dbgc::EntropyProfile::Wide, "wide", 3);
+}
+
+/// Goldens for a non-default entropy profile live beside the v1 set as
+/// `{preset}-{tag}.dbgc` + `manifest_{tag}.txt`. Blessing them never
+/// rewrites the v1 files, so v1 streams stay byte-identical by
+/// construction; and a profile's stream must decode to the *same*
+/// coordinate bit pattern as the narrow golden — the profile changes
+/// transport, not reconstruction — so `cloud_fnv` is cross-checked against
+/// the v1 manifest, not independently blessed.
+fn profile_goldens(profile: dbgc::EntropyProfile, tag: &str, version: u8) {
     let dir = golden_dir();
     let narrow_manifest = std::fs::read_to_string(dir.join("manifest.txt"))
         .expect("v1 golden manifest missing — bless golden_vectors_all_presets first");
     let narrow = parse_manifest(&narrow_manifest);
+    let manifest_path = dir.join(format!("manifest_{tag}.txt"));
+    let stream_path = |preset: ScenePreset| dir.join(format!("{}-{tag}.dbgc", preset.name()));
 
     if std::env::var_os("DBGC_BLESS").is_some() {
-        let mut manifest = String::from(
-            "# Golden wide-profile (version 3) DBGC streams: small_frame(preset, 7)\n\
-             # at q = 0.02, entropy_profile = wide. cloud_fnv must equal the v1\n\
+        let mut manifest = format!(
+            "# Golden {tag}-profile (version {version}) DBGC streams: small_frame(preset, 7)\n\
+             # at q = 0.02, entropy_profile = {tag}. cloud_fnv must equal the v1\n\
              # manifest entry. Regenerate with DBGC_BLESS=1 (golden_vectors.rs).\n",
         );
         for preset in ScenePreset::all() {
-            let (frame, points) = compress_preset_with(preset, 0, dbgc::EntropyProfile::Wide);
-            assert_eq!(frame.bytes[4], 3, "wide stream must carry version 3");
+            let (frame, points) = compress_preset_with(preset, 0, profile);
+            assert_eq!(frame.bytes[4], version, "{tag} stream must carry version {version}");
             let (decoded, _) = dbgc::decompress(&frame.bytes).expect("own stream");
             let _ = writeln!(
                 manifest,
@@ -198,63 +209,58 @@ fn golden_vectors_wide_profile() {
                 fnv1a(frame.bytes.iter().copied()),
                 cloud_fnv(&decoded),
             );
-            std::fs::write(dir.join(format!("{}-wide.dbgc", preset.name())), &frame.bytes)
-                .expect("write wide golden stream");
+            std::fs::write(stream_path(preset), &frame.bytes).expect("write golden stream");
         }
-        std::fs::write(dir.join("manifest_wide.txt"), manifest).expect("write wide manifest");
+        std::fs::write(&manifest_path, manifest).expect("write manifest");
         eprintln!(
-            "blessed {} wide golden vectors into {}",
+            "blessed {} {tag} golden vectors into {}",
             ScenePreset::all().len(),
             dir.display()
         );
         return;
     }
 
-    let manifest_text = std::fs::read_to_string(dir.join("manifest_wide.txt"))
-        .expect("wide golden manifest missing — run with DBGC_BLESS=1 to create it");
+    let manifest_text = std::fs::read_to_string(&manifest_path)
+        .unwrap_or_else(|_| panic!("{tag} golden manifest missing — run with DBGC_BLESS=1"));
     let manifest = parse_manifest(&manifest_text);
-    assert_eq!(manifest.len(), ScenePreset::all().len(), "wide manifest covers every preset");
+    assert_eq!(manifest.len(), ScenePreset::all().len(), "{tag} manifest covers every preset");
 
     for preset in ScenePreset::all() {
+        let name = preset.name();
         let entry = &manifest
             .iter()
-            .find(|(name, _)| name == preset.name())
-            .unwrap_or_else(|| panic!("{} missing from wide manifest", preset.name()))
+            .find(|(n, _)| n == name)
+            .unwrap_or_else(|| panic!("{name} missing from {tag} manifest"))
             .1;
         let narrow_entry = &narrow
             .iter()
-            .find(|(name, _)| name == preset.name())
-            .unwrap_or_else(|| panic!("{} missing from v1 manifest", preset.name()))
+            .find(|(n, _)| n == name)
+            .unwrap_or_else(|| panic!("{name} missing from v1 manifest"))
             .1;
         assert_eq!(
-            entry.cloud_fnv,
-            narrow_entry.cloud_fnv,
-            "{}: wide decode must reconstruct the identical cloud",
-            preset.name()
+            entry.cloud_fnv, narrow_entry.cloud_fnv,
+            "{name}: {tag} decode must reconstruct the identical cloud"
         );
 
-        let golden = std::fs::read(dir.join(format!("{}-wide.dbgc", preset.name())))
-            .expect("wide golden stream file");
-        assert_eq!(golden.len(), entry.bytes, "{}: wide stream size", preset.name());
-        assert_eq!(golden[4], 3, "{}: wide golden must carry version 3", preset.name());
+        let golden = std::fs::read(stream_path(preset)).expect("golden stream file");
+        assert_eq!(golden.len(), entry.bytes, "{name}: {tag} stream size");
+        assert_eq!(golden[4], version, "{name}: {tag} golden must carry version {version}");
         assert_eq!(
             fnv1a(golden.iter().copied()),
             entry.stream_fnv,
-            "{}: committed wide stream corrupted",
-            preset.name()
+            "{name}: committed {tag} stream corrupted"
         );
 
-        let (frame, points) = compress_preset_with(preset, 0, dbgc::EntropyProfile::Wide);
-        assert_eq!(points, entry.points, "{}: simulator drifted", preset.name());
-        assert_eq!(frame.bytes, golden, "{}: wide compressed bytes changed", preset.name());
+        let (frame, points) = compress_preset_with(preset, 0, profile);
+        assert_eq!(points, entry.points, "{name}: simulator drifted");
+        assert_eq!(frame.bytes, golden, "{name}: {tag} compressed bytes changed");
 
-        let (decoded, _) = dbgc::decompress(&golden).expect("wide golden stream decodes");
-        assert_eq!(decoded.len(), entry.points, "{}: decoded point count", preset.name());
+        let (decoded, _) = dbgc::decompress(&golden).expect("golden stream decodes");
+        assert_eq!(decoded.len(), entry.points, "{name}: decoded point count");
         assert_eq!(
             cloud_fnv(&decoded),
             entry.cloud_fnv,
-            "{}: wide decoded coordinates drifted",
-            preset.name()
+            "{name}: {tag} decoded coordinates drifted"
         );
     }
 }
