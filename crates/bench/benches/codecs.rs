@@ -51,7 +51,7 @@ fn bench_intseq(c: &mut Criterion) {
     g.bench_function("delta_rc_compress", |b| {
         b.iter(|| {
             let mut out = Vec::new();
-            dbgc_codec::intseq::compress_ints_delta_rc(&mut out, &vals);
+            dbgc_codec::intseq::compress_ints_delta_rc(&mut out, &vals, 1);
             out
         });
     });

@@ -13,8 +13,7 @@ use dbgc::sparse::organize::{organize_sparse_points_with, OrganizeScratch};
 use dbgc::sparse::radial::{encode_radial_into, RadialStreams};
 use dbgc_codec::{
     bitpack_decode, bitpack_encode, delta_decode, delta_encode, AdaptiveModel, ContextModel,
-    DualRangeDecoder, DualRangeEncoder, RangeDecoder, RangeEncoder, WideRangeDecoder,
-    WideRangeEncoder,
+    LanedDecoder, LanedEncoder, RangeEncoder,
 };
 use dbgc_geom::{Point3, Spherical};
 
@@ -32,56 +31,21 @@ fn skewed_symbols(n: usize, alphabet: usize) -> Vec<usize> {
         .collect()
 }
 
-fn model_encode(syms: &[usize], alphabet: usize) -> Vec<u8> {
+/// The adaptive model through the laned range coder — the coder every
+/// entropy profile ships — at `lanes` lanes (1: narrow, 2: dual dense
+/// occupancy, 4: wide).
+fn model_encode(syms: &[usize], alphabet: usize, lanes: usize) -> Vec<u8> {
     let mut m = AdaptiveModel::new(alphabet);
-    let mut enc = RangeEncoder::new();
+    let mut enc = LanedEncoder::new(lanes);
     for &s in syms {
         m.encode(&mut enc, s);
     }
     enc.finish()
 }
 
-fn model_decode(bytes: &[u8], n: usize, alphabet: usize) -> usize {
+fn model_decode(bytes: &[u8], n: usize, alphabet: usize, lanes: usize) -> usize {
     let mut m = AdaptiveModel::new(alphabet);
-    let mut dec = RangeDecoder::new(bytes);
-    let mut acc = 0usize;
-    for _ in 0..n {
-        acc ^= m.decode(&mut dec).expect("valid stream");
-    }
-    acc
-}
-
-fn dual_encode(syms: &[usize], alphabet: usize) -> Vec<u8> {
-    let mut m = AdaptiveModel::new(alphabet);
-    let mut enc = DualRangeEncoder::new();
-    for &s in syms {
-        m.encode(&mut enc, s);
-    }
-    enc.finish()
-}
-
-fn dual_decode(bytes: &[u8], n: usize, alphabet: usize) -> usize {
-    let mut m = AdaptiveModel::new(alphabet);
-    let mut dec = DualRangeDecoder::new(bytes).expect("valid frame");
-    let mut acc = 0usize;
-    for _ in 0..n {
-        acc ^= m.decode(&mut dec).expect("valid stream");
-    }
-    acc
-}
-
-fn wide_encode(syms: &[usize], alphabet: usize) -> Vec<u8> {
-    let mut m = AdaptiveModel::new(alphabet);
-    let mut enc = WideRangeEncoder::new();
-    for &s in syms {
-        m.encode(&mut enc, s);
-    }
-    enc.finish()
-}
-
-fn wide_decode(bytes: &[u8], n: usize, alphabet: usize) -> usize {
-    let mut m = AdaptiveModel::new(alphabet);
-    let mut dec = WideRangeDecoder::new(bytes).expect("valid frame");
+    let mut dec = LanedDecoder::new(bytes, lanes).expect("valid frame");
     let mut acc = 0usize;
     for _ in 0..n {
         acc ^= m.decode(&mut dec).expect("valid stream");
@@ -170,30 +134,32 @@ const PER_RING: usize = 500;
 const U_THETA: f64 = 0.002;
 const U_PHI: f64 = 0.008;
 
+/// The model decode benches: criterion id, the gauge `perf_gate` compares
+/// against the committed snapshot, and the lane count.
+const MODEL_DECODES: [(&str, &str, usize); 3] = [
+    ("decode", "model.decode.melem_per_s", 1),
+    ("dual_decode", "model.dual_decode.melem_per_s", 2),
+    ("wide_decode", "model.wide_decode.melem_per_s", 4),
+];
+
 fn bench_model(c: &mut Criterion) {
     let mut g = c.benchmark_group("model");
     let alphabet = 64usize;
     let syms = skewed_symbols(MODEL_SYMS, alphabet);
     g.throughput(Throughput::Elements(syms.len() as u64));
     g.bench_with_input(BenchmarkId::new("encode", alphabet), &syms, |b, syms| {
-        b.iter(|| model_encode(syms, alphabet));
-    });
-    let bytes = model_encode(&syms, alphabet);
-    g.bench_with_input(BenchmarkId::new("decode", alphabet), &bytes, |b, bytes| {
-        b.iter(|| model_decode(bytes, syms.len(), alphabet));
+        b.iter(|| model_encode(syms, alphabet, 1));
     });
     let stream: Vec<(usize, usize)> = syms.iter().enumerate().map(|(i, &s)| (i % 16, s)).collect();
     g.bench_with_input(BenchmarkId::new("context_encode", "16x64"), &stream, |b, stream| {
         b.iter(|| context_encode(stream, 16, alphabet));
     });
-    let dual_bytes = dual_encode(&syms, alphabet);
-    g.bench_with_input(BenchmarkId::new("dual_decode", alphabet), &dual_bytes, |b, bytes| {
-        b.iter(|| dual_decode(bytes, syms.len(), alphabet));
-    });
-    let wide_bytes = wide_encode(&syms, alphabet);
-    g.bench_with_input(BenchmarkId::new("wide_decode", alphabet), &wide_bytes, |b, bytes| {
-        b.iter(|| wide_decode(bytes, syms.len(), alphabet));
-    });
+    for (name, _, lanes) in MODEL_DECODES {
+        let bytes = model_encode(&syms, alphabet, lanes);
+        g.bench_with_input(BenchmarkId::new(name, alphabet), &bytes, |b, bytes| {
+            b.iter(|| model_decode(bytes, syms.len(), alphabet, lanes));
+        });
+    }
     g.finish();
 }
 
@@ -273,26 +239,18 @@ fn write_snapshot() {
     let collector = dbgc::metrics::Collector::new();
     let alphabet = 64usize;
     let syms = skewed_symbols(MODEL_SYMS, alphabet);
-    let bytes = model_encode(&syms, alphabet);
     let n = syms.len() as f64;
     let s = secs_per_call(|| {
-        black_box(model_encode(&syms, alphabet));
+        black_box(model_encode(&syms, alphabet, 1));
     });
     collector.set_gauge("model.encode.melem_per_s", n / s / 1e6);
-    let s = secs_per_call(|| {
-        black_box(model_decode(&bytes, syms.len(), alphabet));
-    });
-    collector.set_gauge("model.decode.melem_per_s", n / s / 1e6);
-    let dual_bytes = dual_encode(&syms, alphabet);
-    let s = secs_per_call(|| {
-        black_box(dual_decode(&dual_bytes, syms.len(), alphabet));
-    });
-    collector.set_gauge("model.dual_decode.melem_per_s", n / s / 1e6);
-    let wide_bytes = wide_encode(&syms, alphabet);
-    let s = secs_per_call(|| {
-        black_box(wide_decode(&wide_bytes, syms.len(), alphabet));
-    });
-    collector.set_gauge("model.wide_decode.melem_per_s", n / s / 1e6);
+    for (_, gauge, lanes) in MODEL_DECODES {
+        let bytes = model_encode(&syms, alphabet, lanes);
+        let s = secs_per_call(|| {
+            black_box(model_decode(&bytes, syms.len(), alphabet, lanes));
+        });
+        collector.set_gauge(gauge, n / s / 1e6);
+    }
 
     let resid = residuals(MODEL_SYMS);
     let s = secs_per_call(|| {

@@ -20,7 +20,7 @@ use dbgc_lidar_sim::ScenePreset;
 
 fn sizes(vals: &[i64]) -> [usize; 4] {
     let mut rc = Vec::new();
-    intseq::compress_ints_rc(&mut rc, vals);
+    intseq::compress_ints_rc(&mut rc, vals, 1);
     let mut df = Vec::new();
     intseq::compress_ints_deflate(&mut df, vals);
     [rc.len(), df.len(), bitpack_encode(vals).len(), for_encode(vals).len()]

@@ -15,8 +15,8 @@
 //! bytes are identical to the naive formulation — only the traversal count
 //! changes (see `DESIGN.md` §10).
 
-use crate::dual::{RangeSink, RangeSource};
 use crate::error::CodecError;
+use crate::range::{RangeSink, RangeSource};
 
 /// Frequency increment per observed symbol.
 const INCREMENT: u64 = 32;
@@ -243,7 +243,7 @@ impl AdaptiveModel {
     }
 
     /// Encode `sym` and adapt. Generic over the sink so the same model
-    /// drives single- and dual-lane coders.
+    /// drives the plain range coder and the laned one.
     pub fn encode<S: RangeSink>(&mut self, enc: &mut S, sym: usize) {
         assert!(sym < self.n, "symbol {sym} outside alphabet of {}", self.n);
         self.total = fw_encode_step(&mut self.tree, self.total, enc, sym);

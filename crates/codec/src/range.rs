@@ -273,6 +273,40 @@ impl<'a> RangeDecoder<'a> {
     }
 }
 
+/// Where a model sends coded symbols: a single [`RangeEncoder`] or a
+/// [`LanedEncoder`](crate::laned::LanedEncoder) dealing them over lanes.
+pub trait RangeSink {
+    /// Encode a symbol occupying `[cum, cum + freq)` out of `total`.
+    fn put(&mut self, cum: u64, freq: u64, total: u64);
+}
+
+/// Where a model reads coded symbols from (mirror of [`RangeSink`]).
+pub trait RangeSource {
+    /// Slot of the next symbol under a model with the given `total`.
+    fn peek_freq(&mut self, total: u64) -> Result<u64, CodecError>;
+    /// Consume the symbol occupying `[cum, cum + freq)` out of `total`.
+    fn consume(&mut self, cum: u64, freq: u64, total: u64);
+}
+
+impl RangeSink for RangeEncoder {
+    #[inline]
+    fn put(&mut self, cum: u64, freq: u64, total: u64) {
+        self.encode(cum, freq, total);
+    }
+}
+
+impl RangeSource for RangeDecoder<'_> {
+    #[inline]
+    fn peek_freq(&mut self, total: u64) -> Result<u64, CodecError> {
+        self.decode_freq(total)
+    }
+
+    #[inline]
+    fn consume(&mut self, cum: u64, freq: u64, total: u64) {
+        self.decode(cum, freq, total);
+    }
+}
+
 /// Convenience: range-code a byte slice with an adaptive order-0 model.
 pub fn rc_compress_bytes(data: &[u8]) -> Vec<u8> {
     let mut model = crate::model::AdaptiveModel::new(256);

@@ -12,8 +12,9 @@
 //! cross the `MAX_TOTAL` rescale boundary several times.
 
 use dbgc_codec::{AdaptiveModel, BitReader, BitWriter, ContextModel, RangeDecoder, RangeEncoder};
-use dbgc_codec::{WideRangeDecoder, WideRangeEncoder};
+use dbgc_codec::{LanedDecoder, LanedEncoder};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// Naive reference implementations (see module docs). Kept self-contained so
 /// future kernel changes cannot silently "optimize" the oracle too.
@@ -313,6 +314,59 @@ fn decode_both(alphabet: usize, bytes: &[u8], n: usize) -> (Vec<usize>, Vec<usiz
     (opt, re)
 }
 
+/// The laned coder at `lanes` lanes against the plain [`RangeEncoder`] on
+/// one symbol stream; see the `*_equivalent_to_narrow` properties.
+fn laned_matches_narrow(
+    alphabet: usize,
+    syms: Vec<usize>,
+    lanes: usize,
+) -> Result<(), TestCaseError> {
+    let syms: Vec<usize> = syms.into_iter().map(|s| s % alphabet).collect();
+
+    let mut model = AdaptiveModel::new(alphabet);
+    let mut enc = RangeEncoder::new();
+    for &s in &syms {
+        model.encode(&mut enc, s);
+    }
+    let narrow = enc.finish();
+
+    let mut model = AdaptiveModel::new(alphabet);
+    let mut enc = LanedEncoder::new(lanes);
+    for &s in &syms {
+        model.encode(&mut enc, s);
+    }
+    let laned = enc.finish();
+
+    if lanes == 1 {
+        prop_assert_eq!(&laned, &narrow, "one lane must be the plain range coder");
+    }
+    // Per extra lane: one 8-byte flush tail and one uvarint lane length
+    // (≤2 bytes at these sizes). The model sees the identical update
+    // sequence, so the coded payload itself matches the narrow coder's to
+    // within per-lane renormalization slack.
+    prop_assert!(
+        laned.len() <= narrow.len() + 16 * (lanes - 1),
+        "{} lanes: overhead unbounded: {} vs {}",
+        lanes,
+        laned.len(),
+        narrow.len(),
+    );
+
+    let mut model = AdaptiveModel::new(alphabet);
+    let mut dec = RangeDecoder::new(&narrow);
+    let narrow_syms: Vec<usize> =
+        (0..syms.len()).map(|_| model.decode(&mut dec).expect("valid stream")).collect();
+
+    let mut model = AdaptiveModel::new(alphabet);
+    let mut dec = LanedDecoder::new(&laned, lanes).expect("valid frame");
+    let laned_syms: Vec<usize> =
+        (0..syms.len()).map(|_| model.decode(&mut dec).expect("valid stream")).collect();
+
+    prop_assert_eq!(&narrow_syms, &syms, "narrow decode mismatch");
+    prop_assert_eq!(&laned_syms, &syms, "laned decode diverges from narrow");
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -420,54 +474,32 @@ proptest! {
         }
     }
 
-    /// The wide (four-lane) profile is a transport change only: driven by
-    /// the same adaptive model, it must decode to exactly the symbols the
-    /// narrow coder decodes, and cost no more than the extra flush tails
-    /// plus the lane-length header.
+    /// Lanes are a transport change only: driven by the same adaptive
+    /// model, the laned coder decodes to exactly the symbols the plain range
+    /// coder decodes, one lane is that coder byte for byte, and more lanes
+    /// cost no more than their extra flush tails plus the lane header.
+    #[test]
+    fn one_lane_is_byte_identical_to_range_encoder(
+        alphabet in 1usize..48,
+        syms in arb_symbols(48, 2000),
+    ) {
+        laned_matches_narrow(alphabet, syms, 1)?;
+    }
+
+    #[test]
+    fn dual_profile_is_symbol_equivalent_to_narrow(
+        alphabet in 1usize..48,
+        syms in arb_symbols(48, 2000),
+    ) {
+        laned_matches_narrow(alphabet, syms, 2)?;
+    }
+
     #[test]
     fn wide_profile_is_symbol_equivalent_to_narrow(
         alphabet in 1usize..48,
         syms in arb_symbols(48, 2000),
     ) {
-        let syms: Vec<usize> = syms.into_iter().map(|s| s % alphabet).collect();
-
-        let mut model = AdaptiveModel::new(alphabet);
-        let mut enc = RangeEncoder::new();
-        for &s in &syms {
-            model.encode(&mut enc, s);
-        }
-        let narrow = enc.finish();
-
-        let mut model = AdaptiveModel::new(alphabet);
-        let mut enc = WideRangeEncoder::new();
-        for &s in &syms {
-            model.encode(&mut enc, s);
-        }
-        let wide = enc.finish();
-
-        // 3 extra 8-byte flush tails + 3 uvarint lane lengths (≤5 bytes each
-        // at these sizes); the model sees the identical update sequence, so
-        // the coded payload itself matches the narrow coder's to within
-        // per-lane renormalization slack.
-        prop_assert!(
-            wide.len() <= narrow.len() + 48,
-            "wide overhead unbounded: {} vs {}",
-            wide.len(),
-            narrow.len(),
-        );
-
-        let mut model = AdaptiveModel::new(alphabet);
-        let mut dec = RangeDecoder::new(&narrow);
-        let narrow_syms: Vec<usize> =
-            (0..syms.len()).map(|_| model.decode(&mut dec).expect("valid stream")).collect();
-
-        let mut model = AdaptiveModel::new(alphabet);
-        let mut dec = WideRangeDecoder::new(&wide).expect("valid frame");
-        let wide_syms: Vec<usize> =
-            (0..syms.len()).map(|_| model.decode(&mut dec).expect("valid stream")).collect();
-
-        prop_assert_eq!(&narrow_syms, &syms, "narrow decode mismatch");
-        prop_assert_eq!(&wide_syms, &syms, "wide decode diverges from narrow");
+        laned_matches_narrow(alphabet, syms, 4)?;
     }
 
     /// Batch bit I/O vs the bit-at-a-time loops: `write_bits_batch` must

@@ -13,9 +13,13 @@ use dbgc_codec::{
     HuffmanDecoder, HuffmanEncoder,
 };
 use dbgc_codec::{intseq, lz77, range};
-use dbgc_codec::{AdaptiveModel, DualRangeDecoder, DualRangeEncoder};
-use dbgc_codec::{WideRangeDecoder, WideRangeEncoder};
+use dbgc_codec::{AdaptiveModel, LanedDecoder, LanedEncoder};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+
+/// Lane counts the entropy profiles use: 1 (narrow), 2 (dual occupancy) and
+/// 4 (wide).
+const LANE_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn arb_ints() -> impl Strategy<Value = Vec<i64>> {
     proptest::collection::vec(
@@ -30,6 +34,87 @@ fn arb_ints() -> impl Strategy<Value = Vec<i64>> {
 
 fn arb_bytes(max: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(any::<u8>(), 0..max)
+}
+
+/// `data` through an adaptive byte model and the laned range coder.
+fn laned_encode(data: &[u8], lanes: usize) -> Vec<u8> {
+    let mut model = AdaptiveModel::new(256);
+    let mut enc = LanedEncoder::new(lanes);
+    for &b in data {
+        model.encode(&mut enc, b as usize);
+    }
+    enc.finish()
+}
+
+/// The laned coder's contract at `lanes` lanes: the full frame decodes
+/// exactly, and any proper prefix is rejected at the frame or errors on a
+/// starved lane. Symbols decoded before the error only ever consumed genuine
+/// bytes, so they must still be the originals; a full decode is possible
+/// only for cuts inside the `8 · lanes` flush-tail bytes.
+fn laned_roundtrip_and_truncation(
+    data: &[u8],
+    cut_frac: u32,
+    lanes: usize,
+) -> Result<(), TestCaseError> {
+    let comp = laned_encode(data, lanes);
+    let mut model = AdaptiveModel::new(256);
+    let mut dec = LanedDecoder::new(&comp, lanes).unwrap();
+    for &b in data {
+        prop_assert_eq!(model.decode(&mut dec).unwrap(), b as usize);
+    }
+    let cut = (comp.len().saturating_sub(1)) * cut_frac as usize / 100;
+    if let Ok(mut dec) = LanedDecoder::new(&comp[..cut], lanes) {
+        let mut model = AdaptiveModel::new(256);
+        let mut completed = true;
+        for &b in data {
+            match model.decode(&mut dec) {
+                Err(_) => {
+                    completed = false;
+                    break;
+                }
+                Ok(sym) => {
+                    prop_assert_eq!(sym, b as usize, "truncated stream decoded wrong symbol");
+                }
+            }
+        }
+        prop_assert!(
+            !completed || cut + 8 * lanes >= comp.len(),
+            "{lanes} lanes: early cut at {cut}/{} decoded fully",
+            comp.len(),
+        );
+    }
+    Ok(())
+}
+
+/// Arbitrary bytes read as a `lanes`-lane frame: `Err` or symbols, never a
+/// panic.
+fn laned_arbitrary_bytes_never_panic(bytes: &[u8], n: usize, lanes: usize) {
+    if let Ok(mut dec) = LanedDecoder::new(bytes, lanes) {
+        let mut model = AdaptiveModel::new(64);
+        for _ in 0..n {
+            if model.decode(&mut dec).is_err() {
+                break;
+            }
+        }
+    }
+}
+
+/// A valid `lanes`-lane frame with one flipped bit decodes to `Err` or
+/// symbols, never a panic.
+fn laned_bit_flips_never_panic(data: &[u8], flip: u64, lanes: usize) {
+    let mut comp = laned_encode(data, lanes);
+    if !comp.is_empty() {
+        let idx = (flip as usize) % comp.len();
+        comp[idx] ^= 1 << ((flip >> 32) % 8) as u8;
+    }
+    if let Ok(mut dec) = LanedDecoder::new(&comp, lanes) {
+        let mut model = AdaptiveModel::new(256);
+        for _ in data {
+            if model.decode(&mut dec).is_err() {
+                break;
+            }
+        }
+    }
 }
 
 proptest! {
@@ -133,7 +218,7 @@ proptest! {
         let _ = HuffmanDecoder::read_table(&mut ByteReader::new(&bytes));
     }
 
-    // ---- range coder -----------------------------------------------------
+    // ---- range coder, and the laned coder at 1, 2 and 4 lanes -------------
     #[test]
     fn range_roundtrip_and_truncation(data in arb_bytes(500), cut_frac in 0u32..100) {
         let comp = range::rc_compress_bytes(&data);
@@ -145,159 +230,70 @@ proptest! {
             Err(_) => {}
             Ok(out) => {
                 prop_assert!(cut + 8 >= comp.len(), "early cut at {cut} decoded Ok");
-                prop_assert_eq!(out, data, "flush-tail cut returned wrong bytes");
+                prop_assert_eq!(out, data.clone(), "flush-tail cut returned wrong bytes");
             }
         }
+        // One lane is the plain range coder, byte for byte.
+        prop_assert_eq!(&laned_encode(&data, 1), &comp);
+        laned_roundtrip_and_truncation(&data, cut_frac, 1)?;
     }
 
     #[test]
     fn range_arbitrary_bytes_never_panic(bytes in arb_bytes(200), n in 0usize..4096) {
         let _ = range::rc_decompress_bytes(&bytes, n);
+        laned_arbitrary_bytes_never_panic(&bytes, n, 1);
     }
 
-    // ---- dual-lane range coder -------------------------------------------
+    #[test]
+    fn range_bit_flips_never_panic(data in arb_bytes(200), flip in any::<u64>()) {
+        laned_bit_flips_never_panic(&data, flip, 1);
+    }
+
     #[test]
     fn dual_roundtrip_and_truncation(data in arb_bytes(500), cut_frac in 0u32..100) {
-        let mut model = AdaptiveModel::new(256);
-        let mut enc = DualRangeEncoder::new();
-        for &b in &data {
-            model.encode(&mut enc, b as usize);
-        }
-        let comp = enc.finish();
-        let mut model = AdaptiveModel::new(256);
-        let mut dec = DualRangeDecoder::new(&comp).unwrap();
-        for &b in &data {
-            prop_assert_eq!(model.decode(&mut dec).unwrap(), b as usize);
-        }
-        // Any proper prefix: frame rejection, or a decode error on the
-        // starved lane. Symbols decoded before the error only ever consumed
-        // genuine bytes, so they must still be the originals; a full decode
-        // is possible only for cuts inside the two 8-byte flush tails.
-        let cut = (comp.len().saturating_sub(1)) * cut_frac as usize / 100;
-        if let Ok(mut dec) = DualRangeDecoder::new(&comp[..cut]) {
-            let mut model = AdaptiveModel::new(256);
-            let mut completed = true;
-            for &b in &data {
-                match model.decode(&mut dec) {
-                    Err(_) => {
-                        completed = false;
-                        break;
-                    }
-                    Ok(sym) => {
-                        prop_assert_eq!(sym, b as usize, "truncated stream decoded wrong symbol");
-                    }
-                }
-            }
-            prop_assert!(
-                !completed || cut + 16 >= comp.len(),
-                "early cut at {cut}/{} decoded fully",
-                comp.len(),
-            );
-        }
+        laned_roundtrip_and_truncation(&data, cut_frac, 2)?;
     }
 
     #[test]
     fn dual_arbitrary_bytes_never_panic(bytes in arb_bytes(300), n in 0usize..512) {
-        if let Ok(mut dec) = DualRangeDecoder::new(&bytes) {
-            let mut model = AdaptiveModel::new(64);
-            for _ in 0..n {
-                if model.decode(&mut dec).is_err() {
-                    break;
-                }
-            }
-        }
+        laned_arbitrary_bytes_never_panic(&bytes, n, 2);
     }
 
-    // ---- wide (four-lane) range coder ------------------------------------
+    #[test]
+    fn dual_bit_flips_never_panic(data in arb_bytes(200), flip in any::<u64>()) {
+        laned_bit_flips_never_panic(&data, flip, 2);
+    }
+
     #[test]
     fn wide_roundtrip_and_truncation(data in arb_bytes(500), cut_frac in 0u32..100) {
-        let mut model = AdaptiveModel::new(256);
-        let mut enc = WideRangeEncoder::new();
-        for &b in &data {
-            model.encode(&mut enc, b as usize);
-        }
-        let comp = enc.finish();
-        let mut model = AdaptiveModel::new(256);
-        let mut dec = WideRangeDecoder::new(&comp).unwrap();
-        for &b in &data {
-            prop_assert_eq!(model.decode(&mut dec).unwrap(), b as usize);
-        }
-        // Same contract as the dual coder, with four 8-byte flush tails:
-        // a proper prefix is rejected at the frame, errors on a starved
-        // lane, or — only for cuts inside the 32 tail bytes — still decodes
-        // every symbol exactly.
-        let cut = (comp.len().saturating_sub(1)) * cut_frac as usize / 100;
-        if let Ok(mut dec) = WideRangeDecoder::new(&comp[..cut]) {
-            let mut model = AdaptiveModel::new(256);
-            let mut completed = true;
-            for &b in &data {
-                match model.decode(&mut dec) {
-                    Err(_) => {
-                        completed = false;
-                        break;
-                    }
-                    Ok(sym) => {
-                        prop_assert_eq!(sym, b as usize, "truncated stream decoded wrong symbol");
-                    }
-                }
-            }
-            prop_assert!(
-                !completed || cut + 32 >= comp.len(),
-                "early cut at {cut}/{} decoded fully",
-                comp.len(),
-            );
-        }
+        laned_roundtrip_and_truncation(&data, cut_frac, 4)?;
     }
 
     #[test]
     fn wide_arbitrary_bytes_never_panic(bytes in arb_bytes(300), n in 0usize..512) {
-        if let Ok(mut dec) = WideRangeDecoder::new(&bytes) {
-            let mut model = AdaptiveModel::new(64);
-            for _ in 0..n {
-                if model.decode(&mut dec).is_err() {
-                    break;
-                }
-            }
-        }
+        laned_arbitrary_bytes_never_panic(&bytes, n, 4);
     }
 
     #[test]
     fn wide_bit_flips_never_panic(data in arb_bytes(200), flip in any::<u64>()) {
-        let mut model = AdaptiveModel::new(256);
-        let mut enc = WideRangeEncoder::new();
-        for &b in &data {
-            model.encode(&mut enc, b as usize);
-        }
-        let mut comp = enc.finish();
-        if !comp.is_empty() {
-            let idx = (flip as usize) % comp.len();
-            comp[idx] ^= 1 << ((flip >> 32) % 8) as u8;
-        }
-        if let Ok(mut dec) = WideRangeDecoder::new(&comp) {
-            let mut model = AdaptiveModel::new(256);
-            for _ in &data {
-                if model.decode(&mut dec).is_err() {
-                    break;
-                }
-            }
-        }
+        laned_bit_flips_never_panic(&data, flip, 4);
     }
 
     // ---- intseq ----------------------------------------------------------
     #[test]
     fn intseq_roundtrip_all_variants(vals in arb_ints()) {
         let mut buf = Vec::new();
-        intseq::compress_ints_rc(&mut buf, &vals);
         intseq::compress_ints_deflate(&mut buf, &vals);
-        intseq::compress_ints_delta_rc(&mut buf, &vals);
-        intseq::compress_ints_rc_wide(&mut buf, &vals);
-        intseq::compress_ints_delta_rc_wide(&mut buf, &vals);
+        for lanes in LANE_COUNTS {
+            intseq::compress_ints_rc(&mut buf, &vals, lanes);
+            intseq::compress_ints_delta_rc(&mut buf, &vals, lanes);
+        }
         let mut r = ByteReader::new(&buf);
-        prop_assert_eq!(intseq::decompress_ints_rc(&mut r).unwrap(), vals.clone());
         prop_assert_eq!(intseq::decompress_ints_deflate(&mut r).unwrap(), vals.clone());
-        prop_assert_eq!(intseq::decompress_ints_delta_rc(&mut r).unwrap(), vals.clone());
-        prop_assert_eq!(intseq::decompress_ints_rc_wide(&mut r).unwrap(), vals.clone());
-        prop_assert_eq!(intseq::decompress_ints_delta_rc_wide(&mut r).unwrap(), vals.clone());
+        for lanes in LANE_COUNTS {
+            prop_assert_eq!(intseq::decompress_ints_rc(&mut r, lanes).unwrap(), vals.clone());
+            prop_assert_eq!(intseq::decompress_ints_delta_rc(&mut r, lanes).unwrap(), vals.clone());
+        }
         prop_assert!(r.is_empty());
     }
 
@@ -305,22 +301,23 @@ proptest! {
     fn intseq_symbols_roundtrip(syms in proptest::collection::vec(any::<u8>(), 0..300)) {
         let syms: Vec<u8> = syms.into_iter().map(|s| s % 16).collect();
         let mut buf = Vec::new();
-        intseq::compress_symbols_rc(&mut buf, &syms, 16);
-        intseq::compress_symbols_rc_wide(&mut buf, &syms, 16);
+        for lanes in LANE_COUNTS {
+            intseq::compress_symbols_rc(&mut buf, &syms, 16, lanes);
+        }
         let mut r = ByteReader::new(&buf);
-        prop_assert_eq!(intseq::decompress_symbols_rc(&mut r).unwrap(), syms.clone());
-        prop_assert_eq!(intseq::decompress_symbols_rc_wide(&mut r).unwrap(), syms);
+        for lanes in LANE_COUNTS {
+            prop_assert_eq!(intseq::decompress_symbols_rc(&mut r, lanes).unwrap(), syms.clone());
+        }
     }
 
     #[test]
     fn intseq_arbitrary_bytes_never_panic(bytes in arb_bytes(300)) {
-        let _ = intseq::decompress_ints_rc(&mut ByteReader::new(&bytes));
         let _ = intseq::decompress_ints_deflate(&mut ByteReader::new(&bytes));
-        let _ = intseq::decompress_ints_delta_rc(&mut ByteReader::new(&bytes));
-        let _ = intseq::decompress_symbols_rc(&mut ByteReader::new(&bytes));
-        let _ = intseq::decompress_ints_rc_wide(&mut ByteReader::new(&bytes));
-        let _ = intseq::decompress_ints_delta_rc_wide(&mut ByteReader::new(&bytes));
-        let _ = intseq::decompress_symbols_rc_wide(&mut ByteReader::new(&bytes));
+        for lanes in LANE_COUNTS {
+            let _ = intseq::decompress_ints_rc(&mut ByteReader::new(&bytes), lanes);
+            let _ = intseq::decompress_ints_delta_rc(&mut ByteReader::new(&bytes), lanes);
+            let _ = intseq::decompress_symbols_rc(&mut ByteReader::new(&bytes), lanes);
+        }
     }
 
     // ---- bitpack / FOR ---------------------------------------------------

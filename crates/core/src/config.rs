@@ -1,7 +1,8 @@
 //! DBGC configuration.
 
-use dbgc_codec::EntropyProfile;
 use dbgc_geom::SensorMeta;
+
+use crate::EntropyProfile;
 
 /// Which clustering algorithm classifies dense vs. sparse points (§3.2/§4.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -82,8 +83,9 @@ pub struct DbgcConfig {
     /// least `n` threads. The bitstream is byte-identical for every setting.
     pub threads: usize,
     /// Entropy profile for the range-coded substreams: how many interleaved
-    /// interval states the coders use (same probabilities, split interval
-    /// state — see `dbgc_codec::dual` and `dbgc_codec::wide`). `Narrow` (the
+    /// lanes the range coder deals symbols over (same probabilities, split
+    /// interval state — see `dbgc_codec::laned`; the per-profile version
+    /// byte and lane counts are [`EntropyProfile`]'s table). `Narrow` (the
     /// default) keeps the version-1 format byte-identical; `Dual` writes
     /// stream version 2 (two-lane dense occupancy); `Wide` writes stream
     /// version 3 (four-lane occupancy *and* four-lane sparse/radial frames).
@@ -123,13 +125,6 @@ impl DbgcConfig {
             entropy_profile: EntropyProfile::Narrow,
             spatial_index: false,
         }
-    }
-
-    /// Builder-style two-lane toggle: shorthand for
-    /// [`with_entropy_profile`](DbgcConfig::with_entropy_profile) with
-    /// `Dual` (or back to `Narrow`).
-    pub fn with_dense_dual_lane(self, on: bool) -> Self {
-        self.with_entropy_profile(if on { EntropyProfile::Dual } else { EntropyProfile::Narrow })
     }
 
     /// Builder-style override of
@@ -247,10 +242,9 @@ mod tests {
     fn entropy_profile_builders() {
         let c = DbgcConfig::default();
         assert_eq!(c.entropy_profile, EntropyProfile::Narrow);
-        assert_eq!(c.clone().with_dense_dual_lane(true).entropy_profile, EntropyProfile::Dual);
         assert_eq!(
-            c.clone().with_dense_dual_lane(true).with_dense_dual_lane(false).entropy_profile,
-            EntropyProfile::Narrow
+            c.clone().with_entropy_profile(EntropyProfile::Dual).entropy_profile,
+            EntropyProfile::Dual
         );
         let c = c.with_entropy_profile(EntropyProfile::Wide);
         assert_eq!(c.entropy_profile, EntropyProfile::Wide);

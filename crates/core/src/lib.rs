@@ -62,14 +62,13 @@ pub mod stats;
 pub mod verify;
 
 pub use config::{ClusteringAlgorithm, DbgcConfig, OutlierMode, SplitStrategy};
-pub use dbgc_codec::EntropyProfile;
 #[cfg(feature = "metrics")]
 pub use decompress::decompress_with_metrics;
 pub use decompress::{decompress, inspect, DecompressStats, StreamInfo};
 pub use error::DbgcError;
 pub use index::{split_index_trailer, IndexTrailer, SpatialDirectory};
 pub use layout::{SectionSpans, StreamHeader};
-pub use pipeline::{CompressedFrame, Dbgc};
+pub use pipeline::{CompressedFrame, Dbgc, EntropyProfile};
 pub use stats::{CompressionStats, SectionSizes, TimingBreakdown};
 pub use verify::verify_roundtrip;
 

@@ -35,7 +35,7 @@ pub fn encode_outliers(
             for (i, p) in points.iter().enumerate() {
                 z_dec[enc.mapping[i]] = quantize(p.z, step);
             }
-            intseq::compress_ints_delta_rc(out, &z_dec);
+            intseq::compress_ints_delta_rc(out, &z_dec, 1);
             enc.mapping
         }
         OutlierMode::Octree => {
@@ -71,7 +71,7 @@ pub fn decode_outliers(
             let len = r.read_uvarint()? as usize;
             let bytes = r.read_slice(len)?;
             let xy = QuadtreeCodec.decode_with_limit(bytes, max_points)?;
-            let z = intseq::decompress_ints_delta_rc(r)?;
+            let z = intseq::decompress_ints_delta_rc(r, 1)?;
             if z.len() != xy.points.len() {
                 return Err(CodecError::CorruptStream("outlier z-channel length mismatch"));
             }

@@ -21,48 +21,23 @@ use dbgc_codec::intseq;
 use dbgc_codec::varint::ByteReader;
 use dbgc_codec::CodecError;
 
-use super::radial::{decode_radial, encode_radial, encode_radial_into, RadialStreams};
+use super::radial::{decode_radial, encode_radial_into, RadialStreams};
 
-/// Channel-3 behaviour and the radial thresholds, in quantized units.
+/// Channel-3 behaviour, the entropy lanes, and the radial thresholds, in
+/// quantized units.
 #[derive(Debug, Clone, Copy)]
 pub struct GroupCodecConfig {
     /// Use radial-distance-optimized delta encoding for channel 3.
     pub radial: bool,
-    /// Code the range-coded frames through the four-lane wide entropy
-    /// profile (`dbgc_codec::wide`) instead of the single-lane coder. Same
-    /// models and frame order, different entropy payload framing — both
-    /// ends must agree (the stream header's version carries this flag).
+    /// Range-coder lanes (1, 2 or 4) of every range-coded frame. Same models
+    /// and frame order at any count, different entropy payload framing —
+    /// both ends must agree (the stream header's version carries it).
     /// Deflate frames are unaffected.
-    pub wide: bool,
+    pub lanes: usize,
     /// `TH_φ` in quantized angle units (reference polyline set).
     pub th_phi: i64,
     /// `TH_r` in quantized radial units.
     pub th_r: i64,
-}
-
-/// `compress_ints_rc_with`-shaped entry point (narrow or wide).
-type RcCompressFn = fn(&mut Vec<u8>, &[i64], &mut intseq::IntseqScratch);
-/// `decompress_ints_rc`-shaped entry point (narrow or wide).
-type RcDecompressFn = fn(&mut ByteReader<'_>) -> Result<Vec<i64>, CodecError>;
-
-impl GroupCodecConfig {
-    /// The int-sequence range compressor for this profile.
-    fn rc_compress(&self) -> RcCompressFn {
-        if self.wide {
-            intseq::compress_ints_rc_wide_with
-        } else {
-            intseq::compress_ints_rc_with
-        }
-    }
-
-    /// The int-sequence range decompressor for this profile.
-    fn rc_decompress(&self) -> RcDecompressFn {
-        if self.wide {
-            intseq::decompress_ints_rc_wide
-        } else {
-            intseq::decompress_ints_rc
-        }
-    }
 }
 
 /// Reusable working memory for [`encode_group_to_buf`].
@@ -118,12 +93,12 @@ pub fn encode_group_to_buf(
     debug_assert!(lines.iter().all(|l| !l.is_empty()), "no empty polylines");
 
     let ScratchBuffers { seq, radial, intseq: iscr } = scratch;
-    let rc = cfg.rc_compress();
+    let lanes = cfg.lanes;
 
     // Step 5: lengths.
     seq.clear();
     seq.extend(lines.iter().map(|l| l.len() as i64));
-    rc(out, seq, iscr);
+    intseq::compress_ints_rc_with(out, seq, lanes, iscr);
 
     // Steps 2-4 (head/tail split) + step 6: azimuthal channel via Deflate
     // (repeated cross-line patterns).
@@ -136,26 +111,22 @@ pub fn encode_group_to_buf(
     // Step 7: polar channel via arithmetic coding.
     fill_heads(seq, lines, 1);
     dbgc_codec::delta_encode_in_place(seq);
-    rc(out, seq, iscr);
+    intseq::compress_ints_rc_with(out, seq, lanes, iscr);
     fill_tail_deltas(seq, lines, 1);
-    rc(out, seq, iscr);
+    intseq::compress_ints_rc_with(out, seq, lanes, iscr);
 
     // Step 8: radial channel (head/tail residuals in separate frames).
     if cfg.radial {
         encode_radial_into(lines, cfg.th_phi, cfg.th_r, radial);
-        rc(out, &radial.head_nabla, iscr);
-        rc(out, &radial.tail_nabla, iscr);
-        if cfg.wide {
-            intseq::compress_symbols_rc_wide(out, &radial.refs, 4);
-        } else {
-            intseq::compress_symbols_rc_with(out, &radial.refs, 4, iscr);
-        }
+        intseq::compress_ints_rc_with(out, &radial.head_nabla, lanes, iscr);
+        intseq::compress_ints_rc_with(out, &radial.tail_nabla, lanes, iscr);
+        intseq::compress_symbols_rc_with(out, &radial.refs, 4, lanes, iscr);
     } else {
         fill_heads(seq, lines, 2);
         dbgc_codec::delta_encode_in_place(seq);
-        rc(out, seq, iscr);
+        intseq::compress_ints_rc_with(out, seq, lanes, iscr);
         fill_tail_deltas(seq, lines, 2);
-        rc(out, seq, iscr);
+        intseq::compress_ints_rc_with(out, seq, lanes, iscr);
     }
 }
 
@@ -185,7 +156,7 @@ pub fn decode_group_with_limit(
     cfg: &GroupCodecConfig,
     max_points: usize,
 ) -> Result<Vec<Vec<[i64; 3]>>, CodecError> {
-    let rc = cfg.rc_decompress();
+    let rc = |r: &mut ByteReader<'_>| intseq::decompress_ints_rc(r, cfg.lanes);
     let lengths = rc(r)?;
     let n_lines = lengths.len();
     // Checked sum: a wrapped total could slip past the frame-count
@@ -233,11 +204,7 @@ pub fn decode_group_with_limit(
         let streams = super::radial::RadialStreams {
             head_nabla: rc(r)?,
             tail_nabla: rc(r)?,
-            refs: if cfg.wide {
-                intseq::decompress_symbols_rc_wide(r)?
-            } else {
-                intseq::decompress_symbols_rc(r)?
-            },
+            refs: intseq::decompress_symbols_rc(r, cfg.lanes)?,
         };
         decode_radial(&mut lines, &streams, cfg.th_phi, cfg.th_r)?;
     } else {
@@ -258,83 +225,17 @@ pub fn decode_group_with_limit(
     Ok(lines)
 }
 
-/// Per-frame byte sizes of one encoded group, for diagnostics and the
-/// experiment harness (stream-cost breakdowns).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GroupStreamSizes {
-    /// Step-5 polyline-length frame.
-    pub lengths: usize,
-    /// Step-6 azimuthal head frame (Deflate).
-    pub c1_heads: usize,
-    /// Step-6 azimuthal tail frame (Deflate).
-    pub c1_tails: usize,
-    /// Step-7 polar head frame (arithmetic).
-    pub c2_heads: usize,
-    /// Step-7 polar tail frame (arithmetic).
-    pub c2_tails: usize,
-    /// Step-8 radial frames (`∇L_r`, or head+tail deltas when −Radial).
-    pub c3: usize,
-    /// Step-8 `L_ref` symbol frame.
-    pub refs: usize,
-}
-
-/// Encode a group while measuring each frame's size.
-pub fn measure_group(lines: &[Vec<[i64; 3]>], cfg: &GroupCodecConfig) -> GroupStreamSizes {
-    let heads = |c: usize| -> Vec<i64> { lines.iter().map(|l| l[0][c]).collect() };
-    let tail_deltas = |c: usize| -> Vec<i64> {
-        let mut v = Vec::new();
-        for l in lines {
-            for k in 1..l.len() {
-                v.push(l[k][c] - l[k - 1][c]);
-            }
-        }
-        v
-    };
-    let rc_size = |vals: &[i64]| {
-        let mut b = Vec::new();
-        cfg.rc_compress()(&mut b, vals, &mut intseq::IntseqScratch::default());
-        b.len()
-    };
-    let sz = |f: &dyn Fn(&mut Vec<u8>)| {
-        let mut b = Vec::new();
-        f(&mut b);
-        b.len()
-    };
-    let mut sizes = GroupStreamSizes {
-        lengths: rc_size(&lines.iter().map(|l| l.len() as i64).collect::<Vec<_>>()),
-        c1_heads: sz(&|b| intseq::compress_ints_deflate(b, &dbgc_codec::delta_encode(&heads(0)))),
-        c1_tails: sz(&|b| intseq::compress_ints_deflate(b, &tail_deltas(0))),
-        c2_heads: rc_size(&dbgc_codec::delta_encode(&heads(1))),
-        c2_tails: rc_size(&tail_deltas(1)),
-        ..Default::default()
-    };
-    if cfg.radial {
-        let streams = encode_radial(lines, cfg.th_phi, cfg.th_r);
-        sizes.c3 = rc_size(&streams.head_nabla) + rc_size(&streams.tail_nabla);
-        sizes.refs = sz(&|b| {
-            if cfg.wide {
-                intseq::compress_symbols_rc_wide(b, &streams.refs, 4)
-            } else {
-                intseq::compress_symbols_rc(b, &streams.refs, 4)
-            }
-        });
-    } else {
-        sizes.c3 = rc_size(&dbgc_codec::delta_encode(&heads(2))) + rc_size(&tail_deltas(2));
-    }
-    sizes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
 
     fn cfg(radial: bool) -> GroupCodecConfig {
-        GroupCodecConfig { radial, wide: false, th_phi: 4, th_r: 50 }
+        GroupCodecConfig { radial, lanes: 1, th_phi: 4, th_r: 50 }
     }
 
     fn wide_cfg(radial: bool) -> GroupCodecConfig {
-        GroupCodecConfig { wide: true, ..cfg(radial) }
+        GroupCodecConfig { lanes: 4, ..cfg(radial) }
     }
 
     fn roundtrip(lines: &[Vec<[i64; 3]>], c: &GroupCodecConfig) -> usize {
@@ -398,8 +299,9 @@ mod tests {
     #[test]
     fn radial_beats_plain_delta_on_edges() {
         // Rings crossing object edges at aligned θ positions — the scenario
-        // the radial-distance-optimized encoding is built for. Compare the
-        // channel-3 stream sizes; the geometry channels are identical.
+        // the radial-distance-optimized encoding is built for. Compare whole
+        // encoded groups: the five channel-1/2 frames do not depend on
+        // `radial`, so only channel 3 separates the sizes.
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
         // Object ranges vary per line (a leaning wall), so the jump sizes
         // are not constant and plain delta cannot learn them cheaply.
@@ -419,15 +321,9 @@ mod tests {
                     .collect()
             })
             .collect();
-        let radial = measure_group(&lines, &cfg(true));
-        let plain = measure_group(&lines, &cfg(false));
-        assert!(
-            radial.c3 + radial.refs < plain.c3,
-            "radial {}+{} should beat plain {}",
-            radial.c3,
-            radial.refs,
-            plain.c3
-        );
+        let radial = roundtrip(&lines, &cfg(true));
+        let plain = roundtrip(&lines, &cfg(false));
+        assert!(radial < plain, "radial {radial} should beat plain {plain}");
     }
 
     #[test]

@@ -197,7 +197,7 @@ impl GpccCodec {
         out.extend_from_slice(&occ);
 
         let extras: Vec<i64> = tree.leaf_counts.iter().map(|&c| c as i64 - 1).collect();
-        intseq::compress_ints_rc(&mut out, &extras);
+        intseq::compress_ints_rc(&mut out, &extras, 1);
 
         GpccEncodeResult { bytes: out, mapping: tree.decode_mapping(), direct_coded }
     }
@@ -307,7 +307,7 @@ impl GpccCodec {
             return Err(CodecError::CorruptStream("gpcc leaf count mismatch"));
         }
 
-        let extras = intseq::decompress_ints_rc(&mut r)?;
+        let extras = intseq::decompress_ints_rc(&mut r, 1)?;
         if extras.len() != leaf_count {
             return Err(CodecError::CorruptStream("gpcc multiplicity mismatch"));
         }

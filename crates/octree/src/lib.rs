@@ -31,5 +31,4 @@ pub use builder::Octree;
 pub use codec::{
     OccupancyContext, OctreeCodec, OctreeDecodeResult, OctreeEncodeResult, DEFAULT_MAX_POINTS,
 };
-pub use dbgc_codec::EntropyProfile;
 pub use quadtree::{QuadtreeCodec, QuadtreeDecodeResult, QuadtreeEncodeResult};

@@ -149,7 +149,7 @@ impl QuadtreeCodec {
         out.extend_from_slice(&occ);
 
         let extras: Vec<i64> = leaf_counts.iter().map(|&c| c as i64 - 1).collect();
-        intseq::compress_ints_rc(&mut out, &extras);
+        intseq::compress_ints_rc(&mut out, &extras, 1);
 
         // Input → output mapping (stable within a leaf).
         let mut offsets = vec![0usize; leaf_keys.len()];
@@ -237,7 +237,7 @@ impl QuadtreeCodec {
             return Err(CodecError::CorruptStream("quadtree leaf count mismatch"));
         }
 
-        let extras = intseq::decompress_ints_rc(&mut r)?;
+        let extras = intseq::decompress_ints_rc(&mut r, 1)?;
         if extras.len() != leaf_count {
             return Err(CodecError::CorruptStream("quadtree multiplicity mismatch"));
         }
