@@ -80,7 +80,7 @@ impl<'a> ByteReader<'a> {
 
     /// Borrow the next `n` bytes and advance.
     pub fn read_slice(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.remaining() {
             return Err(CodecError::UnexpectedEof);
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -219,5 +219,6 @@ mod tests {
         assert_eq!(r.remaining(), 3);
         assert_eq!(r.read_u8().unwrap(), 3);
         assert!(r.read_slice(3).is_err());
+        assert!(r.read_slice(usize::MAX).is_err(), "a length must not wrap the bounds check");
     }
 }
