@@ -9,6 +9,7 @@ use std::time::{Duration, Instant};
 
 use dbgc_codec::varint::ByteReader;
 use dbgc_geom::PointCloud;
+use dbgc_metrics::Collector;
 
 use crate::index::{split_index_trailer, IndexTrailer};
 use crate::layout::{
@@ -38,12 +39,6 @@ impl DecompressStats {
     }
 }
 
-/// Optional metrics sink (always `None` with the `metrics` feature off).
-#[cfg(feature = "metrics")]
-type MetricsOpt<'a> = Option<&'a dbgc_metrics::Collector>;
-#[cfg(not(feature = "metrics"))]
-type MetricsOpt<'a> = Option<&'a std::convert::Infallible>;
-
 /// Decompress a DBGC bitstream into a point cloud.
 pub fn decompress(bytes: &[u8]) -> Result<(PointCloud, DecompressStats), DbgcError> {
     decompress_impl(bytes, None)
@@ -53,21 +48,17 @@ pub fn decompress(bytes: &[u8]) -> Result<(PointCloud, DecompressStats), DbgcErr
 /// `decompress` span with `oct`/`spa`/`cor`/`out` stage children (one
 /// `spa`/`cor` pair per radial group) and frame/point/byte counters. The
 /// decoded cloud is identical to the uninstrumented path.
-#[cfg(feature = "metrics")]
 pub fn decompress_with_metrics(
     bytes: &[u8],
-    collector: &dbgc_metrics::Collector,
+    collector: &Collector,
 ) -> Result<(PointCloud, DecompressStats), DbgcError> {
     decompress_impl(bytes, Some(collector))
 }
 
 fn decompress_impl(
     bytes: &[u8],
-    m: MetricsOpt,
+    m: Option<&Collector>,
 ) -> Result<(PointCloud, DecompressStats), DbgcError> {
-    #[cfg(not(feature = "metrics"))]
-    let _ = m;
-    #[cfg(feature = "metrics")]
     let root = m.map(|c| c.span("decompress"));
     // A CRC-valid index trailer is metadata for archive queries, not point
     // data: strip it before the sequential walk so index-aware streams
@@ -87,7 +78,6 @@ fn decompress_impl(
     let mut cloud = PointCloud::with_capacity(declared_points.min(1 << 20));
 
     // ---- dense section ----------------------------------------------------
-    #[cfg(feature = "metrics")]
     let stage = root.as_ref().map(|s| s.child("oct"));
     let t = Instant::now();
     let dense = read_dense(&mut r, &h, declared_points)?;
@@ -95,13 +85,11 @@ fn decompress_impl(
         cloud.push(p);
     }
     stats.oct = t.elapsed();
-    #[cfg(feature = "metrics")]
     drop(stage);
 
     // ---- sparse groups ------------------------------------------------------
     for _ in 0..h.n_groups {
         let r_max = read_group_r_max(&mut r)?;
-        #[cfg(feature = "metrics")]
         let stage = root.as_ref().map(|s| s.child("spa"));
         let t = Instant::now();
         let (codec_cfg, sq) = group_codec_cfg(&h, r_max);
@@ -109,27 +97,22 @@ fn decompress_impl(
         // declared lengths exceed the remainder fails before materializing.
         let lines = decode_group_with_limit(&mut r, &codec_cfg, declared_points - cloud.len())?;
         stats.spa += t.elapsed();
-        #[cfg(feature = "metrics")]
         drop(stage);
 
-        #[cfg(feature = "metrics")]
         let stage = root.as_ref().map(|s| s.child("cor"));
         let t = Instant::now();
         push_dequantized(&lines, sq.as_ref(), h.q_xyz, &mut cloud);
         stats.cor += t.elapsed();
-        #[cfg(feature = "metrics")]
         drop(stage);
     }
 
     // ---- outliers --------------------------------------------------------------
-    #[cfg(feature = "metrics")]
     let stage = root.as_ref().map(|s| s.child("out"));
     let t = Instant::now();
     for p in decode_outliers(&mut r, h.q_xyz, declared_points - cloud.len())? {
         cloud.push(p);
     }
     stats.out = t.elapsed();
-    #[cfg(feature = "metrics")]
     drop(stage);
 
     if cloud.len() != declared_points {
@@ -138,7 +121,6 @@ fn decompress_impl(
     if !r.is_empty() {
         return Err(DbgcError::BadHeader("trailing bytes after stream"));
     }
-    #[cfg(feature = "metrics")]
     if let Some(c) = m {
         c.incr("decompress.frames", 1);
         c.incr("decompress.points_out", cloud.len() as u64);

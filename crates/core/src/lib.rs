@@ -62,9 +62,7 @@ pub mod stats;
 pub mod verify;
 
 pub use config::{ClusteringAlgorithm, DbgcConfig, OutlierMode, SplitStrategy};
-#[cfg(feature = "metrics")]
-pub use decompress::decompress_with_metrics;
-pub use decompress::{decompress, inspect, DecompressStats, StreamInfo};
+pub use decompress::{decompress, decompress_with_metrics, inspect, DecompressStats, StreamInfo};
 pub use error::DbgcError;
 pub use index::{split_index_trailer, IndexTrailer, SpatialDirectory};
 pub use layout::{SectionSpans, StreamHeader};
@@ -72,10 +70,8 @@ pub use pipeline::{CompressedFrame, Dbgc, EntropyProfile};
 pub use stats::{CompressionStats, SectionSizes, TimingBreakdown};
 pub use verify::verify_roundtrip;
 
-/// Re-export of the observability crate, so dependents that already depend
-/// on `dbgc` with the `metrics` feature can name `Collector`/`Snapshot`
-/// without a separate dependency line.
-#[cfg(feature = "metrics")]
+/// Re-export of the observability crate, so dependents of `dbgc` can name
+/// `Collector`/`Snapshot` without a separate dependency line.
 pub use dbgc_metrics as metrics;
 
 #[cfg(test)]

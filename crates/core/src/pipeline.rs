@@ -8,6 +8,7 @@ use dbgc_clustering::{approx_cluster_threads, cell_based_cluster, dbscan, Densit
 use dbgc_codec::varint::{write_f64, write_uvarint};
 use dbgc_geom::quant::{quantize, QuantParams, SphericalQuant};
 use dbgc_geom::{Aabb, Point3, PointCloud, Spherical};
+use dbgc_metrics::{Collector, Span};
 use dbgc_octree::OctreeCodec;
 
 use crate::config::{ClusteringAlgorithm, DbgcConfig, OutlierMode, SplitStrategy};
@@ -18,21 +19,6 @@ use crate::sparse::codec::{encode_group_to_buf, GroupCodecConfig, ScratchBuffers
 use crate::sparse::organize::{organize_sparse_points_into, OrganizeScratch, Organized};
 use crate::stats::{CompressionStats, SectionSizes, TimingBreakdown};
 use crate::DbgcError;
-
-/// Optional metrics sink threaded through the pipeline. With the `metrics`
-/// feature off this is an uninhabited `Option` (always `None`), so every
-/// recording site compiles to nothing.
-#[cfg(feature = "metrics")]
-pub(crate) type MetricsOpt<'a> = Option<&'a dbgc_metrics::Collector>;
-/// Disabled-`metrics` stand-in: an `Option` that can never be `Some`.
-#[cfg(not(feature = "metrics"))]
-pub(crate) type MetricsOpt<'a> = Option<&'a std::convert::Infallible>;
-
-/// Optional parent-span handle passed into per-group encoding.
-#[cfg(feature = "metrics")]
-type SpanOpt<'a> = Option<&'a dbgc_metrics::Span>;
-#[cfg(not(feature = "metrics"))]
-type SpanOpt<'a> = Option<&'a std::convert::Infallible>;
 
 /// Per-thread working memory for one group's ORG + SPA: codec scratch,
 /// organizer scratch, the gathered per-group coordinate arrays, and the
@@ -230,11 +216,10 @@ impl Dbgc {
     /// (`header`/`dense`/`sparse`/`outlier`, summing to the stream size),
     /// and frame/point counters. The bitstream is byte-identical to the
     /// uninstrumented path.
-    #[cfg(feature = "metrics")]
     pub fn compress_with_metrics(
         &self,
         cloud: &PointCloud,
-        collector: &dbgc_metrics::Collector,
+        collector: &Collector,
     ) -> Result<CompressedFrame, DbgcError> {
         self.compress_impl(cloud, Some(collector))
     }
@@ -242,10 +227,8 @@ impl Dbgc {
     fn compress_impl(
         &self,
         cloud: &PointCloud,
-        m: MetricsOpt,
+        m: Option<&Collector>,
     ) -> Result<CompressedFrame, DbgcError> {
-        #[cfg(not(feature = "metrics"))]
-        let _ = m;
         let cfg = &self.config;
         cfg.validate().map_err(DbgcError::InvalidConfig)?;
         if let Some(i) = cloud.iter().position(|p| !p.is_finite()) {
@@ -254,43 +237,36 @@ impl Dbgc {
         let points = cloud.points();
         let mut timing = TimingBreakdown::default();
         let mut sections = SectionSizes::default();
-        #[cfg(feature = "metrics")]
         let root = m.map(|c| c.span("compress"));
 
         // ---- DEN: dense/sparse split -----------------------------------
-        #[cfg(feature = "metrics")]
         let stage = root.as_ref().map(|s| s.child("den"));
         let t = Instant::now();
         let split = self.split(points);
         timing.den = t.elapsed();
-        #[cfg(feature = "metrics")]
         drop(stage);
         let (dense_idx, sparse_idx) = split.partition_indices();
         let dense_pts: Vec<Point3> = dense_idx.iter().map(|&i| points[i]).collect();
 
         // ---- OCT: octree over dense points ------------------------------
-        #[cfg(feature = "metrics")]
         let stage = root.as_ref().map(|s| s.child("oct"));
         let t = Instant::now();
         let dense_enc = OctreeCodec::baseline()
             .with_lanes(cfg.entropy_profile.dense_lanes())
             .encode(&dense_pts, cfg.q_xyz);
         timing.oct = t.elapsed();
-        #[cfg(feature = "metrics")]
         drop(stage);
 
         // ---- COR: spherical conversion ----------------------------------
         // Organization always runs in (θ, φ) space; the flag only controls
         // which coordinates are *compressed*. Per-point conversions are
         // independent, so they fan out over the pool.
-        #[cfg(feature = "metrics")]
         let stage = root.as_ref().map(|s| s.child("cor"));
         let t = Instant::now();
         let sparse_pts: Vec<Point3> = sparse_idx.iter().map(|&i| points[i]).collect();
         let sparse_sph: Vec<Spherical> =
             par::map(cfg.threads, None, &sparse_pts, |_, p| p.to_spherical());
         timing.cor = t.elapsed();
-        #[cfg(feature = "metrics")]
         drop(stage);
 
         // ---- grouping by radial distance --------------------------------
@@ -353,12 +329,8 @@ impl Dbgc {
         // this fan-out without per-group allocation. Buffers are spliced
         // into the stream in group order below, so the bitstream is
         // byte-identical to the serial in-place loop.
-        #[cfg(feature = "metrics")]
         let group_stage = root.as_ref().map(|s| s.child("sparse_groups"));
-        #[cfg(feature = "metrics")]
-        let group_span: SpanOpt = group_stage.as_ref();
-        #[cfg(not(feature = "metrics"))]
-        let group_span: SpanOpt = None;
+        let group_span = group_stage.as_ref();
         let group_wall = Instant::now();
         let mut org_cpu = std::time::Duration::ZERO;
         let mut spa_cpu = std::time::Duration::ZERO;
@@ -384,7 +356,6 @@ impl Dbgc {
             // serial merge cost the fan-out pays — the `compress.splice_us`
             // histogram makes that overhead visible next to the stage
             // speedup gauges.
-            #[cfg(feature = "metrics")]
             let splice_start = Instant::now();
             for (group, result) in groups.iter().zip(arena.iter()) {
                 if let Some(meta) = &result.meta {
@@ -412,13 +383,11 @@ impl Dbgc {
                 org_cpu += result.org;
                 spa_cpu += result.spa;
             }
-            #[cfg(feature = "metrics")]
             if let Some(c) = m {
                 c.record("compress.splice_us", splice_start.elapsed().as_micros() as u64);
             }
             sparse_wall
         });
-        #[cfg(feature = "metrics")]
         drop(group_stage);
         // Wall-clock stage attribution: under `threads > 1` the per-worker
         // ORG and SPA measurements overlap in time, so their sum overstates
@@ -433,7 +402,6 @@ impl Dbgc {
         sections.sparse = out.len() - sparse_mark;
 
         // ---- B_outlier ------------------------------------------------------
-        #[cfg(feature = "metrics")]
         let stage = root.as_ref().map(|s| s.child("out"));
         let outlier_mark = out.len();
         let t = Instant::now();
@@ -445,7 +413,6 @@ impl Dbgc {
         }
         timing.out = t.elapsed();
         sections.outlier = out.len() - outlier_mark;
-        #[cfg(feature = "metrics")]
         drop(stage);
 
         // ---- spatial-index trailer (opt-in) --------------------------------
@@ -497,7 +464,6 @@ impl Dbgc {
         };
         // Per-substream byte accounting (the four channels partition the
         // stream, so they must sum to `out.len()`), plus frame counters.
-        #[cfg(feature = "metrics")]
         if let Some(c) = m {
             c.add_bytes("header", sections.header as u64);
             c.add_bytes("dense", sections.dense as u64);
@@ -530,11 +496,9 @@ impl Dbgc {
         sparse_sph: &[Spherical],
         sparse_pts: &[Point3],
         scratch: &mut GroupScratch,
-        span: SpanOpt,
+        span: Option<&Span>,
         result: &mut GroupResult,
     ) {
-        #[cfg(not(feature = "metrics"))]
-        let _ = span;
         let cfg = &self.config;
         scratch.g_sph.clear();
         scratch.g_sph.extend(group.iter().map(|&i| sparse_sph[i as usize]));
@@ -545,7 +509,6 @@ impl Dbgc {
         // ORG: Algorithm 1. The child span is created and finished on
         // whichever pool worker runs this group; it nests under the
         // `sparse_groups` stage span owned by the calling thread.
-        #[cfg(feature = "metrics")]
         let phase = span.map(|s| s.child("org"));
         let t = Instant::now();
         organize_sparse_points_into(
@@ -558,11 +521,9 @@ impl Dbgc {
             &mut result.organized,
         );
         result.org = t.elapsed();
-        #[cfg(feature = "metrics")]
         drop(phase);
 
         // SPA: steps 1-9.
-        #[cfg(feature = "metrics")]
         let phase = span.map(|s| s.child("spa"));
         let t = Instant::now();
         let codec_cfg = self.quantize_lines_into(&result.organized.polylines, r_max, scratch);
@@ -570,7 +531,6 @@ impl Dbgc {
         write_f64(&mut result.bytes, r_max);
         encode_group_to_buf(&mut result.bytes, &scratch.lines_q, &codec_cfg, &mut scratch.codec);
         result.spa = t.elapsed();
-        #[cfg(feature = "metrics")]
         drop(phase);
 
         result.meta =

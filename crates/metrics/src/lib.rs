@@ -26,10 +26,12 @@
 //! (CLI `--metrics-out`, `dbgc-bench` harnesses, the net server) emits this
 //! one schema instead of bespoke structs.
 //!
-//! Recording costs one atomic op for counters/histogram samples and one
-//! short mutex push per finished span; crates that embed the layer gate it
-//! behind a default-on `metrics` cargo feature that compiles recording to
-//! no-ops when disabled.
+//! Recording into a named instrument costs one locked map lookup plus one
+//! atomic op per counter bump or histogram sample (the name's key is
+//! allocated only the first time it is seen), and one short mutex push per
+//! finished span. Crates that embed the layer always compile it: their
+//! recording sites take an optional collector, and with none attached each
+//! site costs one `None` branch.
 
 #![warn(missing_docs)]
 
@@ -126,8 +128,7 @@ impl Collector {
 
     /// The counter registered under `name`, created at zero on first use.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.inner.counters.lock().expect("counters lock");
-        Counter(Arc::clone(map.entry(name.to_string()).or_default()))
+        Counter(instrument(&self.inner.counters, name))
     }
 
     /// Add `n` to the counter `name` (convenience over [`Collector::counter`]).
@@ -141,17 +142,18 @@ impl Collector {
     /// accounting invariant: the per-substream values of one frame must sum
     /// to the frame's total stream size.
     pub fn add_bytes(&self, channel: &str, n: u64) {
-        let cell = {
-            let mut map = self.inner.bytes.lock().expect("bytes lock");
-            Arc::clone(map.entry(channel.to_string()).or_default())
-        };
-        cell.fetch_add(n, Ordering::Relaxed);
+        instrument(&self.inner.bytes, channel).fetch_add(n, Ordering::Relaxed);
     }
 
     /// Set the f64 gauge `name` (last write wins).
     pub fn set_gauge(&self, name: &str, value: f64) {
         let mut map = self.inner.gauges.lock().expect("gauges lock");
-        map.insert(name.to_string(), value.to_bits());
+        match map.get_mut(name) {
+            Some(bits) => *bits = value.to_bits(),
+            None => {
+                map.insert(name.to_string(), value.to_bits());
+            }
+        }
     }
 
     /// Attach a string label (preset name, mode, hostname, …).
@@ -162,8 +164,7 @@ impl Collector {
 
     /// The log-bucket histogram registered under `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.inner.histograms.lock().expect("histograms lock");
-        Arc::clone(map.entry(name.to_string()).or_insert_with(|| Arc::new(Histogram::new())))
+        instrument(&self.inner.histograms, name)
     }
 
     /// Record one sample into histogram `name`.
@@ -216,6 +217,17 @@ impl Collector {
 
     pub(crate) fn inner(&self) -> &Inner {
         &self.inner
+    }
+}
+
+/// The instrument registered under `name` in `map`, created on first use.
+/// Names seen before are a plain lookup: the `String` key is allocated only
+/// on a miss, so steady-state recording never allocates.
+fn instrument<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut map = map.lock().expect("instrument map lock");
+    match map.get(name) {
+        Some(cell) => Arc::clone(cell),
+        None => Arc::clone(map.entry(name.to_string()).or_default()),
     }
 }
 

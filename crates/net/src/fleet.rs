@@ -42,8 +42,8 @@
 //! a second exact partition: `stored == drained + resident + shed`.
 //! Substituting gives the exactly-once invariant the fleet-chaos harness
 //! asserts: `intact == durable + deduped + gap_dropped + decode_failures +
-//! shed`, where durable = drained + resident. With the `metrics` feature the
-//! shared `net.*` counters must equal the sums over tenants.
+//! shed`, where durable = drained + resident. The fleet's shared `net.*`
+//! counters must also equal the sums over tenants.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -51,6 +51,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+use dbgc_metrics::Collector;
 
 use crate::fault::SplitMix64;
 use crate::pipeline::OverloadPolicy;
@@ -206,8 +208,7 @@ struct FleetShared {
     shed_frames: AtomicU64,
     prehello_frames: AtomicU64,
     ack_drops: AtomicU64,
-    #[cfg(feature = "metrics")]
-    collector: dbgc_metrics::Collector,
+    collector: Collector,
 }
 
 impl FleetShared {
@@ -221,19 +222,8 @@ impl FleetShared {
             shed_frames: AtomicU64::new(0),
             prehello_frames: AtomicU64::new(0),
             ack_drops: AtomicU64::new(0),
-            #[cfg(feature = "metrics")]
-            collector: dbgc_metrics::Collector::new(),
+            collector: Collector::new(),
         }
-    }
-
-    fn incr(&self, _name: &str, _n: u64) {
-        #[cfg(feature = "metrics")]
-        self.collector.incr(_name, _n);
-    }
-
-    fn set_gauge(&self, _name: &str, _v: f64) {
-        #[cfg(feature = "metrics")]
-        self.collector.set_gauge(_name, _v);
     }
 
     /// Claim one session slot iff the fleet is under `cap`. The CAS loop is
@@ -247,15 +237,16 @@ impl FleetShared {
         if admitted {
             let now = self.sessions.load(Ordering::SeqCst);
             self.sessions_peak.fetch_max(now, Ordering::SeqCst);
-            self.set_gauge("fleet.sessions_active", now as f64);
-            self.set_gauge("fleet.sessions_peak", self.sessions_peak.load(Ordering::SeqCst) as f64);
+            self.collector.set_gauge("fleet.sessions_active", now as f64);
+            self.collector
+                .set_gauge("fleet.sessions_peak", self.sessions_peak.load(Ordering::SeqCst) as f64);
         }
         admitted
     }
 
     fn release_session(&self) {
         let before = self.sessions.fetch_sub(1, Ordering::SeqCst);
-        self.set_gauge("fleet.sessions_active", before.saturating_sub(1) as f64);
+        self.collector.set_gauge("fleet.sessions_active", before.saturating_sub(1) as f64);
     }
 }
 
@@ -318,7 +309,7 @@ impl Write for AckSender {
             Err(TrySendError::Full(_)) => {
                 // Shed the ack, keep the loop moving.
                 self.shared.ack_drops.fetch_add(1, Ordering::Relaxed);
-                self.shared.incr("fleet.ack_drops", 1);
+                self.shared.collector.incr("fleet.ack_drops", 1);
                 Ok(())
             }
             Err(TrySendError::Disconnected(_)) => {
@@ -557,7 +548,7 @@ pub struct FleetReport {
     pub prehello_frames: u64,
     /// Acks dropped by the non-blocking ack path.
     pub ack_drops: u64,
-    /// `net.*` / `fleet.*` counters (empty without the `metrics` feature).
+    /// The fleet collector's counters (`net.*`, `fleet.*`) at shutdown.
     pub counters: Vec<(String, u64)>,
 }
 
@@ -572,15 +563,11 @@ impl FleetReport {
         self.tenants.iter().find(|t| t.session_id == session_id)
     }
 
-    /// Check the partitions: per tenant always (see the module docs), and
-    /// with the `metrics` feature also that every `net.*` partition counter
-    /// equals its sum over tenants.
+    /// Check the partitions: per tenant (see the module docs), and that
+    /// every `net.*` partition counter equals its sum over tenants.
     pub fn verify_partition(&self) -> Result<(), String> {
         for tenant in &self.tenants {
             tenant.verify_partition()?;
-        }
-        if self.counters.is_empty() {
-            return Ok(());
         }
         let sum = |f: fn(&TenantReport) -> usize| -> u64 {
             self.tenants.iter().map(|t| f(t) as u64).sum()
@@ -732,8 +719,8 @@ impl FleetCore {
             Some(tenant) => tenant.server.record_resync(skipped),
             None => {
                 // Garbage on an unbound connection is the fleet's to count.
-                self.shared.incr("net.resyncs", 1);
-                self.shared.incr("net.bytes_skipped", skipped);
+                self.shared.collector.incr("net.resyncs", 1);
+                self.shared.collector.incr("net.bytes_skipped", skipped);
             }
         }
     }
@@ -741,7 +728,6 @@ impl FleetCore {
     /// Route one parsed frame: hellos bind/admit, data frames go to the
     /// bound tenant's session state machine, then budgets are enforced.
     fn handle_wire(&mut self, conn_id: u64, wire: WireFrame) {
-        #[cfg(feature = "metrics")]
         let t0 = Instant::now();
         if let Some(control) = Control::from_frame(&wire) {
             match control {
@@ -759,12 +745,11 @@ impl FleetCore {
                 None => {
                     // Data before any hello: the fleet speaks sessions only.
                     self.shared.prehello_frames.fetch_add(1, Ordering::Relaxed);
-                    self.shared.incr("fleet.prehello_frames", 1);
+                    self.shared.collector.incr("fleet.prehello_frames", 1);
                 }
                 Some(sid) => self.handle_data(conn_id, sid, wire),
             }
         }
-        #[cfg(feature = "metrics")]
         self.shared.collector.record("fleet.frame_handle_us", t0.elapsed().as_micros() as u64);
     }
 
@@ -781,7 +766,7 @@ impl FleetCore {
         if let Some(false) = self.config.auth.as_ref().map(|a| a.check(session_id, token.as_ref()))
         {
             self.shared.auth_rejects.fetch_add(1, Ordering::Relaxed);
-            self.shared.incr("fleet.auth_rejects", 1);
+            self.shared.collector.incr("fleet.auth_rejects", 1);
             self.reject(conn_id, session_id, REJECT_BAD_AUTH);
             return;
         }
@@ -794,13 +779,12 @@ impl FleetCore {
         if !self.tenants.contains_key(&session_id) {
             if !self.shared.try_admit(self.config.max_sessions) {
                 self.shared.admission_rejects.fetch_add(1, Ordering::Relaxed);
-                self.shared.incr("fleet.admission_rejects", 1);
+                self.shared.collector.incr("fleet.admission_rejects", 1);
                 self.reject(conn_id, session_id, REJECT_FLEET_FULL);
                 return;
             }
-            let server = SessionServer::new(session_id, self.config.decompress);
-            #[cfg(feature = "metrics")]
-            let server = server.with_metrics(&self.shared.collector);
+            let server =
+                SessionServer::new(session_id, self.config.decompress, &self.shared.collector);
             self.tenants.insert(
                 session_id,
                 Tenant {
@@ -886,7 +870,7 @@ impl FleetCore {
         tenant.resident_bytes = tenant.resident_bytes.saturating_sub(frame.bytes.len() as u64);
         shared.fleet_bytes.fetch_sub(frame.bytes.len() as u64, Ordering::SeqCst);
         shared.shed_frames.fetch_add(1, Ordering::Relaxed);
-        shared.incr("fleet.shed_frames", 1);
+        shared.collector.incr("fleet.shed_frames", 1);
         tenant.shed_seqs.push(frame.sequence);
         true
     }
@@ -923,7 +907,7 @@ impl FleetCore {
             self.shared.fleet_bytes.fetch_sub(tenant.resident_bytes, Ordering::SeqCst);
             tenant.resident_bytes = 0;
             tenant.paused = false;
-            self.shared.incr("fleet.frames_drained", frames.len() as u64);
+            self.shared.collector.incr("fleet.frames_drained", frames.len() as u64);
             out.push((sid, frames));
         }
         // Parked feeds hold bytes with no pending wakeup event; pump now.
@@ -1099,21 +1083,9 @@ impl FleetHandle {
         &self.config
     }
 
-    /// Mirror a gauge into the fleet's collector (no-op without the
-    /// `metrics` feature). Used by the TCP edge for `fleet.conns_*`.
-    pub(crate) fn set_gauge(&self, name: &str, v: f64) {
-        self.shared.set_gauge(name, v);
-    }
-
-    /// Bump a counter in the fleet's collector (no-op without `metrics`).
-    pub(crate) fn incr(&self, name: &str, n: u64) {
-        self.shared.incr(name, n);
-    }
-
     /// The fleet's metrics collector (`fleet.*` gauges/counters plus every
     /// tenant's `net.*` counters).
-    #[cfg(feature = "metrics")]
-    pub fn metrics(&self) -> &dbgc_metrics::Collector {
+    pub fn metrics(&self) -> &Collector {
         &self.shared.collector
     }
 }
@@ -1173,11 +1145,8 @@ impl FleetServer {
         }
         tenants.sort_unstable_by_key(|t| t.session_id);
         let shared = &self.handle.shared;
-        #[cfg(feature = "metrics")]
         let counters: Vec<(String, u64)> =
             shared.collector.snapshot().counters.into_iter().collect();
-        #[cfg(not(feature = "metrics"))]
-        let counters: Vec<(String, u64)> = Vec::new();
         FleetReport {
             tenants,
             sessions_peak: shared.sessions_peak.load(Ordering::SeqCst),
@@ -1432,7 +1401,6 @@ mod tests {
         assert_eq!(t.durable, vec![0]);
         assert_eq!((t.intact, t.stored, t.deduped, t.gap_dropped), (1, 1, 0, 0));
         report.verify_partition().unwrap();
-        #[cfg(feature = "metrics")]
         for (name, want) in [
             ("net.frames_deduped", t.deduped),
             ("net.frames_gap_dropped", t.gap_dropped),
@@ -1471,6 +1439,10 @@ mod tests {
         };
         report.verify_partition().unwrap();
         report.counters[0].1 = 2;
+        assert!(report.verify_partition().unwrap_err().contains("net.frames_intact"));
+        // An empty counter list is checked too: the tenant's stored frame
+        // is then a frame no `net.*` counter accounts for.
+        report.counters.clear();
         assert!(report.verify_partition().unwrap_err().contains("net.frames_intact"));
     }
 }

@@ -47,12 +47,7 @@ use std::thread::JoinHandle;
 
 use dbgc::{CompressedFrame, Dbgc, DbgcError};
 use dbgc_geom::PointCloud;
-
-/// Optional metrics sink (always `None` with the `metrics` feature off).
-#[cfg(feature = "metrics")]
-type MetricsSink = Option<dbgc_metrics::Collector>;
-#[cfg(not(feature = "metrics"))]
-type MetricsSink = Option<std::convert::Infallible>;
+use dbgc_metrics::Collector;
 
 /// What `submit` does when the bounded queue is full; see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -142,8 +137,7 @@ pub struct PipelinedCompressor {
     relief: u32,
     degrade_transitions: u64,
     overload_dropped: u64,
-    #[cfg_attr(not(feature = "metrics"), allow(dead_code))]
-    metrics: MetricsSink,
+    metrics: Option<Collector>,
 }
 
 impl PipelinedCompressor {
@@ -159,16 +153,19 @@ impl PipelinedCompressor {
     /// `net.frames_dropped_overload` counters, and each worker's `compress`
     /// span tree (workers share the collector, so spans from concurrent
     /// frames interleave; span parentage keeps them separable).
-    #[cfg(feature = "metrics")]
     pub fn with_metrics(
         compressor: Dbgc,
         workers: usize,
-        collector: &dbgc_metrics::Collector,
+        collector: &Collector,
     ) -> PipelinedCompressor {
         Self::new_impl(compressor, workers, Some(collector.clone()))
     }
 
-    fn new_impl(compressor: Dbgc, workers: usize, metrics: MetricsSink) -> PipelinedCompressor {
+    fn new_impl(
+        compressor: Dbgc,
+        workers: usize,
+        metrics: Option<Collector>,
+    ) -> PipelinedCompressor {
         assert!(workers >= 1, "need at least one worker");
         let queue = Arc::new(SharedQueue {
             state: Mutex::new(QueueState {
@@ -185,7 +182,6 @@ impl PipelinedCompressor {
             let queue = Arc::clone(&queue);
             let tx = result_tx.clone();
             let dbgc = compressor.clone();
-            #[cfg(feature = "metrics")]
             let worker_metrics = metrics.clone();
             handles.push(std::thread::spawn(move || {
                 // Degraded variants built lazily: level n doubles q_xyz n
@@ -211,14 +207,9 @@ impl PipelinedCompressor {
                         config.q_xyz *= f64::from(1u32 << u32::from(level));
                         Dbgc::new(config)
                     });
-                    let result = {
-                        #[cfg(feature = "metrics")]
-                        match &worker_metrics {
-                            Some(c) => active.compress_with_metrics(&cloud, c),
-                            None => active.compress(&cloud),
-                        }
-                        #[cfg(not(feature = "metrics"))]
-                        active.compress(&cloud)
+                    let result = match &worker_metrics {
+                        Some(c) => active.compress_with_metrics(&cloud, c),
+                        None => active.compress(&cloud),
                     };
                     if tx.send((seq, WorkItem::Done { level, result })).is_err() {
                         return;
@@ -258,10 +249,18 @@ impl PipelinedCompressor {
         self
     }
 
-    fn incr(&self, _name: &str, _n: u64) {
-        #[cfg(feature = "metrics")]
+    fn incr(&self, name: &str, n: u64) {
         if let Some(c) = &self.metrics {
-            c.incr(_name, _n);
+            c.incr(name, n);
+        }
+    }
+
+    /// Count one degrade-level move and publish the new level.
+    fn degrade_moved(&mut self) {
+        self.degrade_transitions += 1;
+        if let Some(c) = &self.metrics {
+            c.incr("net.degrade_transitions", 1);
+            c.set_gauge("net.degrade_level", f64::from(self.degrade_level));
         }
     }
 
@@ -279,12 +278,7 @@ impl PipelinedCompressor {
             if self.pressure >= DEGRADE_SUSTAIN && self.degrade_level < MAX_DEGRADE_LEVEL {
                 self.degrade_level += 1;
                 self.pressure = 0;
-                self.degrade_transitions += 1;
-                self.incr("net.degrade_transitions", 1);
-                #[cfg(feature = "metrics")]
-                if let Some(c) = &self.metrics {
-                    c.set_gauge("net.degrade_level", f64::from(self.degrade_level));
-                }
+                self.degrade_moved();
             }
         } else if depth <= low {
             self.relief += 1;
@@ -292,12 +286,7 @@ impl PipelinedCompressor {
             if self.relief >= DEGRADE_SUSTAIN && self.degrade_level > 0 {
                 self.degrade_level -= 1;
                 self.relief = 0;
-                self.degrade_transitions += 1;
-                self.incr("net.degrade_transitions", 1);
-                #[cfg(feature = "metrics")]
-                if let Some(c) = &self.metrics {
-                    c.set_gauge("net.degrade_level", f64::from(self.degrade_level));
-                }
+                self.degrade_moved();
             }
         } else {
             self.pressure = 0;
@@ -343,14 +332,12 @@ impl PipelinedCompressor {
             depth = state.jobs.len() + 1;
             state.jobs.push_back((seq, cloud, self.degrade_level));
             state.high_water = state.high_water.max(depth as u64);
-            #[cfg(feature = "metrics")]
             if let Some(c) = &self.metrics {
                 c.set_gauge("net.queue_depth_high_water", state.high_water as f64);
             }
         }
         self.queue.not_empty.notify_one();
         self.update_degrade(depth);
-        #[cfg(feature = "metrics")]
         if let Some(c) = &self.metrics {
             c.incr("net.frames_submitted", 1);
             c.record("net.queue_depth", self.in_flight());
@@ -669,10 +656,9 @@ mod tests {
         assert_eq!(pipe.degrade_level(), 0, "level restored after pressure clears");
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn overload_counters_flow_through_metrics() {
-        let collector = dbgc_metrics::Collector::new();
+        let collector = Collector::new();
         let mut pipe =
             PipelinedCompressor::with_metrics(Dbgc::with_error_bound(0.05), 1, &collector)
                 .with_queue_capacity(1)

@@ -12,6 +12,7 @@
 use std::io::Write;
 
 use dbgc_geom::PointCloud;
+use dbgc_metrics::Collector;
 
 use crate::protocol::{write_frame, Control, WireFrame};
 
@@ -46,12 +47,6 @@ pub(crate) struct SessionCounts {
     pub resyncs: usize,
 }
 
-/// Optional metrics sink (always `None` with the `metrics` feature off).
-#[cfg(feature = "metrics")]
-type MetricsSink = Option<dbgc_metrics::Collector>;
-#[cfg(not(feature = "metrics"))]
-type MetricsSink = Option<std::convert::Infallible>;
-
 /// One tenant's wire-v3 session: strict in-order delivery with replay
 /// dedup, acknowledged after every accepted or deduplicated frame so the
 /// client can advance its bounded in-flight window. State outlives any one
@@ -70,13 +65,14 @@ pub(crate) struct SessionServer {
     /// A hello has been seen; later ones are reconnects.
     greeted: bool,
     counts: SessionCounts,
-    #[cfg_attr(not(feature = "metrics"), allow(dead_code))]
-    metrics: MetricsSink,
+    /// The fleet's collector: `net.*` counters, the `net.frame_bytes`
+    /// histogram and the decoder's stage spans.
+    metrics: Collector,
 }
 
 impl SessionServer {
     /// `decompress = false` reproduces the "store B directly" mode.
-    pub(crate) fn new(session_id: u64, decompress: bool) -> SessionServer {
+    pub(crate) fn new(session_id: u64, decompress: bool, metrics: &Collector) -> SessionServer {
         SessionServer {
             session_id,
             decompress,
@@ -84,22 +80,7 @@ impl SessionServer {
             next_expected: 0,
             greeted: false,
             counts: SessionCounts::default(),
-            metrics: None,
-        }
-    }
-
-    /// Record `net.*` counters, the `net.frame_bytes` histogram and the
-    /// decoder's stage spans into `collector`.
-    #[cfg(feature = "metrics")]
-    pub(crate) fn with_metrics(mut self, collector: &dbgc_metrics::Collector) -> SessionServer {
-        self.metrics = Some(collector.clone());
-        self
-    }
-
-    fn incr(&self, _name: &str, _n: u64) {
-        #[cfg(feature = "metrics")]
-        if let Some(c) = &self.metrics {
-            c.incr(_name, _n);
+            metrics: metrics.clone(),
         }
     }
 
@@ -110,9 +91,9 @@ impl SessionServer {
         let frame = Control::Ack { session_id: self.session_id, next_expected: self.next_expected }
             .to_frame();
         if write_frame(w, &frame).is_ok() {
-            self.incr("net.acks_sent", 1);
+            self.metrics.incr("net.acks_sent", 1);
         } else {
-            self.incr("net.ack_errors", 1);
+            self.metrics.incr("net.ack_errors", 1);
         }
     }
 
@@ -121,13 +102,13 @@ impl SessionServer {
     /// went missing server-side; it is counted (`net.seq_gaps`) but drops no
     /// frame.
     pub(crate) fn hello(&mut self, last_acked: u32, ack: &mut Option<impl Write>) {
-        self.incr("net.hellos", 1);
+        self.metrics.incr("net.hellos", 1);
         if self.greeted {
-            self.incr("net.reconnect_hellos", 1);
+            self.metrics.incr("net.reconnect_hellos", 1);
         }
         self.greeted = true;
         if last_acked > self.next_expected {
-            self.incr("net.seq_gaps", 1);
+            self.metrics.incr("net.seq_gaps", 1);
         }
         self.send_ack(ack);
     }
@@ -135,46 +116,34 @@ impl SessionServer {
     /// Process one data frame; `true` when it was stored.
     pub(crate) fn data(&mut self, wire: WireFrame, ack: &mut Option<impl Write>) -> bool {
         self.counts.intact += 1;
-        self.incr("net.frames_intact", 1);
-        #[cfg(feature = "metrics")]
-        if let Some(c) = &self.metrics {
-            c.record("net.frame_bytes", wire.payload.len() as u64);
-        }
+        self.metrics.incr("net.frames_intact", 1);
+        self.metrics.record("net.frame_bytes", wire.payload.len() as u64);
         if wire.sequence < self.next_expected {
             self.counts.deduped += 1;
-            self.incr("net.frames_deduped", 1);
+            self.metrics.incr("net.frames_deduped", 1);
             // Re-ack so a client that missed the original ack advances.
             self.send_ack(ack);
             return false;
         }
         if wire.sequence > self.next_expected {
             self.counts.gap_dropped += 1;
-            self.incr("net.seq_gaps", 1);
-            self.incr("net.frames_gap_dropped", 1);
+            self.metrics.incr("net.seq_gaps", 1);
+            self.metrics.incr("net.frames_gap_dropped", 1);
             // Tell the client where we are; go-back-N fills the hole.
             self.send_ack(ack);
             return false;
         }
         self.next_expected = self.next_expected.wrapping_add(1);
         let cloud = if self.decompress {
-            let decoded = {
-                #[cfg(feature = "metrics")]
-                match &self.metrics {
-                    Some(c) => dbgc::decompress_with_metrics(&wire.payload, c),
-                    None => dbgc::decompress(&wire.payload),
-                }
-                #[cfg(not(feature = "metrics"))]
-                dbgc::decompress(&wire.payload)
-            };
-            match decoded {
+            match dbgc::decompress_with_metrics(&wire.payload, &self.metrics) {
                 Ok((cloud, _)) => Some(cloud),
                 Err(_) => {
                     // The payload passed its CRC, so retransmission would
                     // resend the same poisoned bytes: advance and ack to keep
                     // the session moving.
                     self.counts.decode_failures += 1;
-                    self.incr("net.decode_failures", 1);
-                    self.incr("net.frames_dropped", 1);
+                    self.metrics.incr("net.decode_failures", 1);
+                    self.metrics.incr("net.frames_dropped", 1);
                     self.send_ack(ack);
                     return false;
                 }
@@ -183,9 +152,9 @@ impl SessionServer {
             None
         };
         self.counts.stored += 1;
-        self.incr("net.frames_received", 1);
-        self.incr("net.frames_stored", 1);
-        self.incr("net.bytes_received", wire.payload.len() as u64);
+        self.metrics.incr("net.frames_received", 1);
+        self.metrics.incr("net.frames_stored", 1);
+        self.metrics.incr("net.bytes_received", wire.payload.len() as u64);
         self.store.push(StoredFrame { sequence: wire.sequence, bytes: wire.payload, cloud });
         self.send_ack(ack);
         true
@@ -198,9 +167,9 @@ impl SessionServer {
             return;
         }
         self.counts.resyncs += 1;
-        self.incr("net.resyncs", 1);
-        self.incr("net.bytes_skipped", skipped);
-        self.incr("net.frames_dropped", 1);
+        self.metrics.incr("net.resyncs", 1);
+        self.metrics.incr("net.bytes_skipped", skipped);
+        self.metrics.incr("net.frames_dropped", 1);
     }
 
     /// Remove one stored-but-undrained frame under fleet load shedding: the
@@ -214,7 +183,7 @@ impl SessionServer {
             return None;
         }
         let frame = if oldest { self.store.remove(0) } else { self.store.pop()? };
-        self.incr("net.frames_shed", 1);
+        self.metrics.incr("net.frames_shed", 1);
         Some(frame)
     }
 
@@ -366,7 +335,7 @@ mod tests {
         // replay, drops the gap, and acks each step.
         let session = 0x5E55_0001;
         let mut acks = Some(Vec::new());
-        let mut core = SessionServer::new(session, false);
+        let mut core = SessionServer::new(session, false, &Collector::new());
         core.hello(0, &mut acks);
         let stored: Vec<bool> =
             [0u32, 1, 1, 3].map(|seq| core.data(data_frame(seq), &mut acks)).into();

@@ -25,12 +25,6 @@ use std::time::Duration;
 use crate::protocol::{write_frame, AuthToken, Control, FrameReader, NetError, WireFrame};
 use crate::retry::{Backoff, RetryPolicy};
 
-/// Optional metrics sink (always `None` with the `metrics` feature off).
-#[cfg(feature = "metrics")]
-type MetricsSink = Option<dbgc_metrics::Collector>;
-#[cfg(not(feature = "metrics"))]
-type MetricsSink = Option<std::convert::Infallible>;
-
 /// Something that can (re)establish a connection to the server: a write half
 /// for data frames and a read half for acknowledgements.
 ///
@@ -105,7 +99,7 @@ impl SessionConfig {
     }
 }
 
-/// Counters describing what a session endured; see also the `net.*` metrics.
+/// Counters describing what a session endured.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Data frames handed to [`ResilientClient::send_payload`].
@@ -138,8 +132,6 @@ pub struct ResilientClient<C: Connect> {
     acked_floor: u32,
     ever_connected: bool,
     stats: SessionStats,
-    #[cfg_attr(not(feature = "metrics"), allow(dead_code))]
-    metrics: MetricsSink,
 }
 
 impl<C: Connect> ResilientClient<C> {
@@ -157,23 +149,6 @@ impl<C: Connect> ResilientClient<C> {
             acked_floor: 0,
             ever_connected: false,
             stats: SessionStats::default(),
-            metrics: None,
-        }
-    }
-
-    /// Mirror session counters (`net.retries`, `net.reconnects`,
-    /// `net.retransmits`, `net.timeouts`, `net.acks_applied`,
-    /// `net.frames_sent`, `net.bytes_sent`) into `collector`.
-    #[cfg(feature = "metrics")]
-    pub fn with_metrics(mut self, collector: &dbgc_metrics::Collector) -> ResilientClient<C> {
-        self.metrics = Some(collector.clone());
-        self
-    }
-
-    fn incr(&self, _name: &str, _n: u64) {
-        #[cfg(feature = "metrics")]
-        if let Some(c) = &self.metrics {
-            c.incr(_name, _n);
         }
     }
 
@@ -216,7 +191,6 @@ impl<C: Connect> ResilientClient<C> {
             return;
         }
         self.stats.acks_received += 1;
-        self.incr("net.acks_applied", 1);
         while self.unacked.front().is_some_and(|(seq, _)| *seq < next_expected) {
             self.unacked.pop_front();
         }
@@ -237,7 +211,6 @@ impl<C: Connect> ResilientClient<C> {
     /// or fail with [`NetError::RetriesExhausted`] once the budget is spent.
     fn charge_retry(&mut self, last_error: impl FnOnce() -> String) -> Result<(), NetError> {
         self.stats.retries += 1;
-        self.incr("net.retries", 1);
         if self.backoff.wait() {
             Ok(())
         } else {
@@ -286,14 +259,12 @@ impl<C: Connect> ResilientClient<C> {
         self.apply_ack(control);
         if self.ever_connected {
             self.stats.reconnects += 1;
-            self.incr("net.reconnects", 1);
         }
         self.ever_connected = true;
         // Go-back-N: replay the window the server hasn't confirmed.
         let replay: Vec<(u32, Vec<u8>)> = self.unacked.iter().cloned().collect();
         if !replay.is_empty() {
             self.stats.retransmits += replay.len() as u64;
-            self.incr("net.retransmits", replay.len() as u64);
         }
         for (sequence, payload) in replay {
             let tx = self.tx.as_mut().expect("just connected");
@@ -344,7 +315,6 @@ impl<C: Connect> ResilientClient<C> {
             }
             Err(RecvTimeoutError::Timeout) => {
                 self.stats.timeouts += 1;
-                self.incr("net.timeouts", 1);
                 self.disconnect();
                 Ok(())
             }
@@ -363,8 +333,6 @@ impl<C: Connect> ResilientClient<C> {
     pub fn send_payload(&mut self, payload: Vec<u8>) -> Result<u32, NetError> {
         let sequence = self.next_sequence;
         self.next_sequence = self.next_sequence.wrapping_add(1);
-        self.incr("net.frames_sent", 1);
-        self.incr("net.bytes_sent", payload.len() as u64);
         self.stats.frames_sent += 1;
         // Connect before queueing: a reconnect replays `unacked`, and this
         // frame gets its first transmission below, not via that replay.

@@ -8,6 +8,7 @@
 //! fuzz CLI minimizes; see `crates/fuzz`.
 
 use dbgc_fuzz::{decode_target, Target};
+use dbgc_metrics::Collector;
 
 fn corpus_files() -> Vec<(String, Vec<u8>)> {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
@@ -34,6 +35,16 @@ fn corpus_replays_through_dbgc_decompress() {
         // Err or a valid cloud; a panic fails the test on its own.
         decode_target(Target::Dbgc, &bytes)
             .unwrap_or_else(|e| panic!("{name}: dbgc contract violated: {e}"));
+        // Every fleet tenant decodes through the instrumented entry point:
+        // it must reach the same outcome and leave a well-formed span tree,
+        // on failure too.
+        let collector = Collector::new();
+        let plain = dbgc::decompress(&bytes).map(|(cloud, _)| cloud).map_err(|e| e.to_string());
+        let instrumented = dbgc::decompress_with_metrics(&bytes, &collector)
+            .map(|(cloud, _)| cloud)
+            .map_err(|e| e.to_string());
+        assert_eq!(plain, instrumented, "{name}: instrumented decode diverged");
+        collector.snapshot().validate_spans().unwrap_or_else(|e| panic!("{name}: spans: {e}"));
     }
 }
 
