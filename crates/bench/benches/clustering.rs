@@ -33,13 +33,13 @@ fn bench_clustering(c: &mut Criterion) {
     g.throughput(Throughput::Elements(points.len() as u64));
     g.sample_size(10);
     g.bench_function("approximate", |b| {
-        b.iter(|| approx_cluster(&points, params));
+        b.iter(|| approx_cluster(&points, params, 0));
     });
     g.bench_function("cell_based", |b| {
-        b.iter(|| cell_based_cluster(&points, params));
+        b.iter(|| cell_based_cluster(&points, params, 0));
     });
     g.bench_function("dbscan", |b| {
-        b.iter(|| dbscan(&points, params));
+        b.iter(|| dbscan(&points, params, 0));
     });
     g.finish();
 }

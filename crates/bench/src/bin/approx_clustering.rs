@@ -28,8 +28,8 @@ fn main() {
     let mut exact = None;
     let mut approx = None;
     for _ in 0..REPS {
-        let (e, te) = timed(|| cell_based_cluster(cloud.points(), params));
-        let (a, ta) = timed(|| approx_cluster(cloud.points(), params));
+        let (e, te) = timed(|| cell_based_cluster(cloud.points(), params, 0));
+        let (a, ta) = timed(|| approx_cluster(cloud.points(), params, 0));
         exact_t += te.as_secs_f64() / REPS as f64;
         approx_t += ta.as_secs_f64() / REPS as f64;
         exact = Some(e);

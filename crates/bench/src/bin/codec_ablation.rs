@@ -29,7 +29,7 @@ fn sizes(vals: &[i64]) -> [usize; 4] {
 fn main() {
     let cloud = scene_frame(ScenePreset::KittiCity);
     let cfg = dbgc::DbgcConfig::with_error_bound(Q_TYPICAL);
-    let split = approx_cluster(cloud.points(), cfg.cluster_params());
+    let split = approx_cluster(cloud.points(), cfg.cluster_params(), cfg.threads);
     let (_, sparse_idx) = split.partition_indices();
     let sph: Vec<Spherical> =
         sparse_idx.iter().map(|&i| cloud.points()[i].to_spherical()).collect();

@@ -29,7 +29,7 @@ use dbgc_geom::{FxHashMap, FxHashSet, Point3};
 
 use crate::grid::{Cell, UniformGrid};
 use crate::params::ClusterParams;
-use crate::{par_map_t, DensitySplit};
+use crate::DensitySplit;
 
 /// The 3×3×3 cell block around a point covers ~2.9× the area a planar
 /// surface patch exposes inside the ε-ball (9ε² vs πε²), so the box counts
@@ -49,24 +49,15 @@ const FIELD_MAX: i64 = (1 << FIELD) - 2;
 /// keys have bit 63 clear and no all-ones field).
 const INVALID_KEY: u64 = u64::MAX;
 
-/// Run the approximate clustering on the process-wide pool.
-pub fn approx_cluster(points: &[Point3], params: ClusterParams) -> DensitySplit {
-    approx_cluster_threads(points, params, 0)
-}
-
-/// [`approx_cluster`] with explicit thread semantics (`0` = current pool,
-/// `1` = inline serial, `n > 1` = grow the pool), mirroring
-/// `DbgcConfig::threads`. The split is identical for every setting.
-pub fn approx_cluster_threads(
-    points: &[Point3],
-    params: ClusterParams,
-    threads: usize,
-) -> DensitySplit {
+/// Run the approximate clustering on `threads` (`0` = current pool, `1` =
+/// inline serial, `n > 1` = grow the pool), mirroring `DbgcConfig::threads`.
+/// The split is identical for every setting.
+pub fn approx_cluster(points: &[Point3], params: ClusterParams, threads: usize) -> DensitySplit {
     let params = ClusterParams {
         eps: params.eps,
         min_pts: ((params.min_pts as f64 * BOX_TO_BALL).round() as usize).max(1),
     };
-    let keys = par_map_t(points, threads, |_, &p| pack_cell(p, params.eps));
+    let keys = dbgc_parallel::map(threads, points, |_, &p| pack_cell(p, params.eps));
     if keys.contains(&INVALID_KEY) {
         return approx_cells(points, params, threads);
     }
@@ -116,7 +107,7 @@ fn approx_packed(keys: &[u64], min_pts: usize, threads: usize) -> DensitySplit {
         .step_by(COUNT_CHUNK.max(1))
         .map(|lo| (lo, (lo + COUNT_CHUNK).min(keys.len())))
         .collect();
-    let shards: Vec<FxHashMap<u64, u32>> = par_map_t(&ranges, threads, |_, &(lo, hi)| {
+    let shards: Vec<FxHashMap<u64, u32>> = dbgc_parallel::map(threads, &ranges, |_, &(lo, hi)| {
         let mut shard: FxHashMap<u64, u32> = FxHashMap::default();
         for &k in &keys[lo..hi] {
             *shard.entry(k).or_insert(0) += 1;
@@ -135,7 +126,7 @@ fn approx_packed(keys: &[u64], min_pts: usize, threads: usize) -> DensitySplit {
 
     // Pass 2: a cell is dense when its 3×3×3 neighbourhood holds >= minPts.
     // Each cell's verdict is independent, so the scan fans out over the pool.
-    let dense_flags = par_map_t(&cell_list, threads, |_, &key| {
+    let dense_flags = dbgc_parallel::map(threads, &cell_list, |_, &key| {
         let mut total = 0usize;
         for &off in &offsets {
             if let Some(&c) = counts.get(&key.wrapping_add(off)) {
@@ -152,7 +143,7 @@ fn approx_packed(keys: &[u64], min_pts: usize, threads: usize) -> DensitySplit {
 
     // Pass 3: dilate by one ring (border cells of a cluster). Reads only the
     // pass-2 set, so it parallelizes the same way.
-    let dilated_flags = par_map_t(&cell_list, threads, |i, &key| {
+    let dilated_flags = dbgc_parallel::map(threads, &cell_list, |i, &key| {
         if dense_flags[i] {
             return true;
         }
@@ -162,14 +153,14 @@ fn approx_packed(keys: &[u64], min_pts: usize, threads: usize) -> DensitySplit {
         cell_list.iter().zip(&dilated_flags).filter(|(_, &d)| d).map(|(&c, _)| c).collect();
 
     // Pass 4: classify points by cell membership, reusing the cached keys.
-    let dense = par_map_t(keys, threads, |_, &k| dilated.contains(&k));
+    let dense = dbgc_parallel::map(threads, keys, |_, &k| dilated.contains(&k));
     DensitySplit { dense }
 }
 
 /// The original cell-tuple formulation over a [`UniformGrid`]; `params` are
 /// already `BOX_TO_BALL`-scaled.
 fn approx_cells(points: &[Point3], params: ClusterParams, threads: usize) -> DensitySplit {
-    let grid = UniformGrid::build(points, params.eps);
+    let grid = UniformGrid::build(points, params.eps, threads);
 
     // Pass 1: per-cell counts.
     let counts: FxHashMap<Cell, usize> =
@@ -177,7 +168,7 @@ fn approx_cells(points: &[Point3], params: ClusterParams, threads: usize) -> Den
     let cell_list: Vec<Cell> = grid.iter_cells().map(|(&c, _)| c).collect();
 
     // Pass 2: 3×3×3 density verdicts.
-    let dense_flags = par_map_t(&cell_list, threads, |_, &(cx, cy, cz)| {
+    let dense_flags = dbgc_parallel::map(threads, &cell_list, |_, &(cx, cy, cz)| {
         let mut total = 0usize;
         for dx in -1..=1 {
             for dy in -1..=1 {
@@ -195,7 +186,7 @@ fn approx_cells(points: &[Point3], params: ClusterParams, threads: usize) -> Den
         cell_list.iter().zip(&dense_flags).filter(|(_, &d)| d).map(|(&c, _)| c).collect();
 
     // Pass 3: one-ring dilation.
-    let dilated_flags = par_map_t(&cell_list, threads, |i, &(cx, cy, cz)| {
+    let dilated_flags = dbgc_parallel::map(threads, &cell_list, |i, &(cx, cy, cz)| {
         if dense_flags[i] {
             return true;
         }
@@ -214,7 +205,7 @@ fn approx_cells(points: &[Point3], params: ClusterParams, threads: usize) -> Den
         cell_list.iter().zip(&dilated_flags).filter(|(_, &d)| d).map(|(&c, _)| c).collect();
 
     // Pass 4: classify points by cell membership.
-    let dense = par_map_t(points, threads, |i, _| dilated.contains(&grid.cell_of(i)));
+    let dense = dbgc_parallel::map(threads, points, |i, _| dilated.contains(&grid.cell_of(i)));
     DensitySplit { dense }
 }
 
@@ -247,7 +238,7 @@ mod tests {
     #[test]
     fn splits_dense_from_sparse() {
         let pts = mixed_cloud(80);
-        let split = approx_cluster(&pts, ClusterParams::new(0.5, 30));
+        let split = approx_cluster(&pts, ClusterParams::new(0.5, 30), 0);
         let slab = split.dense[..5000].iter().filter(|&&d| d).count();
         let halo = split.dense[5000..].iter().filter(|&&d| d).count();
         assert!(slab > 4900, "slab dense: {slab}/5000");
@@ -260,8 +251,8 @@ mod tests {
         // algorithms are nearly the same".
         let pts = mixed_cloud(81);
         let params = ClusterParams::new(0.5, 30);
-        let approx = approx_cluster(&pts, params);
-        let exact = cell_based_cluster(&pts, params);
+        let approx = approx_cluster(&pts, params, 0);
+        let exact = cell_based_cluster(&pts, params, 0);
         let diff = approx.dense.iter().zip(&exact.dense).filter(|(a, b)| a != b).count();
         assert!(
             (diff as f64) < pts.len() as f64 * 0.05,
@@ -272,7 +263,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        assert_eq!(approx_cluster(&[], ClusterParams::new(0.2, 5)).dense_count(), 0);
+        assert_eq!(approx_cluster(&[], ClusterParams::new(0.2, 5), 0).dense_count(), 0);
     }
 
     #[test]
@@ -280,7 +271,7 @@ mod tests {
         // 1 × box-to-ball rounds to 3: any block with >= 3 points is dense,
         // so the slab is fully covered.
         let pts = mixed_cloud(82);
-        let split = approx_cluster(&pts, ClusterParams::new(0.5, 1));
+        let split = approx_cluster(&pts, ClusterParams::new(0.5, 1), 0);
         assert!(split.dense[..5000].iter().all(|&d| d));
     }
 
@@ -296,7 +287,7 @@ mod tests {
                     eps: params.eps,
                     min_pts: ((min_pts as f64 * BOX_TO_BALL).round() as usize).max(1),
                 };
-                let packed = approx_cluster(&pts, params);
+                let packed = approx_cluster(&pts, params, 0);
                 let cells = approx_cells(&pts, scaled, 0);
                 assert_eq!(packed, cells, "seed {seed} min_pts {min_pts}");
             }
@@ -311,11 +302,11 @@ mod tests {
         pts.push(Point3::new(1.0e7, 0.0, 0.0)); // ~2·10^7 cells at ε=0.5
         assert_eq!(pack_cell(pts[pts.len() - 1], 0.5), INVALID_KEY);
         let params = ClusterParams::new(0.5, 30);
-        let split = approx_cluster(&pts, params);
+        let split = approx_cluster(&pts, params, 0);
         assert_eq!(split.dense.len(), pts.len());
         assert!(!split.dense[pts.len() - 1], "isolated far point is sparse");
         // The in-range prefix classifies exactly as without the outlier.
-        let base = approx_cluster(&pts[..pts.len() - 1], params);
+        let base = approx_cluster(&pts[..pts.len() - 1], params, 0);
         // The far point cannot affect any 3×3×3 neighbourhood near origin.
         assert_eq!(&split.dense[..pts.len() - 1], &base.dense[..]);
     }
@@ -325,8 +316,8 @@ mod tests {
     fn thread_count_does_not_change_split() {
         let pts = mixed_cloud(87);
         let params = ClusterParams::new(0.5, 30);
-        let serial = approx_cluster_threads(&pts, params, 1);
-        let pooled = approx_cluster_threads(&pts, params, 4);
+        let serial = approx_cluster(&pts, params, 1);
+        let pooled = approx_cluster(&pts, params, 4);
         assert_eq!(serial, pooled);
     }
 }

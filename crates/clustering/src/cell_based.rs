@@ -17,9 +17,15 @@ use crate::grid::UniformGrid;
 use crate::params::ClusterParams;
 use crate::DensitySplit;
 
-/// Run the cell-based clustering. Cells are grid cells of side ε.
-pub fn cell_based_cluster(points: &[Point3], params: ClusterParams) -> DensitySplit {
-    let grid = UniformGrid::build(points, params.eps);
+/// Run the cell-based clustering. Cells are grid cells of side ε; the grid
+/// builds on `threads` (`DbgcConfig::threads` semantics) and the expansion
+/// runs on the calling thread.
+pub fn cell_based_cluster(
+    points: &[Point3],
+    params: ClusterParams,
+    threads: usize,
+) -> DensitySplit {
+    let grid = UniformGrid::build(points, params.eps, threads);
     let mut dense = vec![false; points.len()];
     let mut visited = vec![false; points.len()];
     let mut dense_cells: FxHashSet<crate::grid::Cell> = FxHashSet::default();
@@ -99,7 +105,7 @@ mod tests {
     fn near_points_dense_far_points_sparse() {
         let pts = lidar_like(70);
         let params = ClusterParams::new(0.5, 20);
-        let split = cell_based_cluster(&pts, params);
+        let split = cell_based_cluster(&pts, params, 0);
         let near_dense = split.dense[..3000].iter().filter(|&&d| d).count();
         let far_dense = split.dense[3000..].iter().filter(|&&d| d).count();
         // Threshold leaves headroom for the workspace RNG's sampling stream
@@ -117,8 +123,8 @@ mod tests {
         // claimed them, which the cell promotion pass only partly recovers.
         let pts = lidar_like(71);
         let params = ClusterParams::new(0.5, 20);
-        let cell = cell_based_cluster(&pts, params);
-        let reference = dbscan(&pts, params);
+        let cell = cell_based_cluster(&pts, params, 0);
+        let reference = dbscan(&pts, params, 0);
         for i in 0..pts.len() {
             if reference.core[i] {
                 assert!(cell.dense[i], "core point {i} not dense in cell-based");
@@ -131,8 +137,8 @@ mod tests {
         // §3.2: the shortcut is an optimization, not a semantic change.
         let pts = lidar_like(72);
         let params = ClusterParams::new(0.5, 20);
-        let cell = cell_based_cluster(&pts, params);
-        let reference = dbscan(&pts, params).split();
+        let cell = cell_based_cluster(&pts, params, 0);
+        let reference = dbscan(&pts, params, 0).split();
         let diff = cell.dense.iter().zip(&reference.dense).filter(|(a, b)| a != b).count();
         assert!(diff < pts.len() / 20, "dense sets differ on {diff}/{} points", pts.len());
     }
@@ -140,9 +146,9 @@ mod tests {
     #[test]
     fn empty_and_singleton() {
         let params = ClusterParams::new(0.2, 5);
-        assert_eq!(cell_based_cluster(&[], params).dense_count(), 0);
+        assert_eq!(cell_based_cluster(&[], params, 0).dense_count(), 0);
         let one = [Point3::ZERO];
-        assert_eq!(cell_based_cluster(&one, params).dense_count(), 0);
+        assert_eq!(cell_based_cluster(&one, params, 0).dense_count(), 0);
     }
 
     #[test]
@@ -159,8 +165,8 @@ mod tests {
             .map(|_| Point3::new(rng.gen_range(-2.0..2.0), rng.gen_range(-2.0..2.0), 0.0))
             .collect();
         let params = ClusterParams::paper_default(0.02);
-        let low = cell_based_cluster(&pts, params);
-        let high = cell_based_cluster(&dense_pts, params);
+        let low = cell_based_cluster(&pts, params, 0);
+        let high = cell_based_cluster(&dense_pts, params, 0);
         assert!(high.dense_fraction() > 0.9, "got {}", high.dense_fraction());
         assert!(low.dense_fraction() < high.dense_fraction());
     }

@@ -29,9 +29,11 @@ impl DbscanResult {
 ///
 /// Core points have `count_within(ε) >= minPts` (count includes the point
 /// itself); clusters grow through core points; border points join the first
-/// cluster that reaches them.
-pub fn dbscan(points: &[Point3], params: ClusterParams) -> DbscanResult {
-    let grid = UniformGrid::build(points, params.eps);
+/// cluster that reaches them. The grid index builds on `threads`
+/// (`DbgcConfig::threads` semantics); the expansion runs on the calling
+/// thread.
+pub fn dbscan(points: &[Point3], params: ClusterParams, threads: usize) -> DbscanResult {
+    let grid = UniformGrid::build(points, params.eps, threads);
     let mut labels: Vec<Option<u32>> = vec![None; points.len()];
     let mut core = vec![false; points.len()];
     let mut visited = vec![false; points.len()];
@@ -108,7 +110,7 @@ mod tests {
     #[test]
     fn finds_two_clusters() {
         let (pts, blob_points, _) = blobs_and_noise();
-        let res = dbscan(&pts, ClusterParams::new(0.2, 10));
+        let res = dbscan(&pts, ClusterParams::new(0.2, 10), 0);
         assert_eq!(res.clusters, 2);
         let split = res.split();
         // All blob points clustered; noise mostly unclustered.
@@ -120,7 +122,7 @@ mod tests {
     #[test]
     fn all_noise_when_min_pts_too_high() {
         let (pts, _, _) = blobs_and_noise();
-        let res = dbscan(&pts, ClusterParams::new(0.2, 100_000));
+        let res = dbscan(&pts, ClusterParams::new(0.2, 100_000), 0);
         assert_eq!(res.clusters, 0);
         assert_eq!(res.split().dense_count(), 0);
     }
@@ -128,13 +130,13 @@ mod tests {
     #[test]
     fn everything_clusters_when_min_pts_is_one() {
         let (pts, _, _) = blobs_and_noise();
-        let res = dbscan(&pts, ClusterParams::new(0.2, 1));
+        let res = dbscan(&pts, ClusterParams::new(0.2, 1), 0);
         assert_eq!(res.split().dense_count(), pts.len());
     }
 
     #[test]
     fn empty_input() {
-        let res = dbscan(&[], ClusterParams::new(0.2, 5));
+        let res = dbscan(&[], ClusterParams::new(0.2, 5), 0);
         assert_eq!(res.clusters, 0);
         assert!(res.labels.is_empty());
     }
@@ -145,7 +147,7 @@ mod tests {
         let pts: Vec<Point3> = (0..20).map(|i| Point3::new(i as f64 * 0.05, 0.0, 0.0)).collect();
         // minPts 4: middle points are core (2 each side + self within 0.1),
         // end points are border.
-        let res = dbscan(&pts, ClusterParams::new(0.1, 4));
+        let res = dbscan(&pts, ClusterParams::new(0.1, 4), 0);
         assert_eq!(res.clusters, 1);
         assert_eq!(res.split().dense_count(), 20);
     }

@@ -12,7 +12,6 @@ pub type Cell = (i64, i64, i64);
 
 /// Below this size the sharded build's merge overhead outweighs the
 /// parallel insert win; build serially.
-#[cfg(feature = "parallel")]
 const PARALLEL_BUILD_MIN_POINTS: usize = 1 << 14;
 
 /// A hash-grid over points with fixed cell side.
@@ -24,16 +23,15 @@ pub struct UniformGrid<'a> {
 }
 
 impl<'a> UniformGrid<'a> {
-    /// Index `points` with the given cell side (`> 0`).
+    /// Index `points` with the given cell side (`> 0`) on `threads`
+    /// (`DbgcConfig::threads` semantics, see `dbgc_parallel::pool_for`).
     ///
     /// Per-cell index lists are always in ascending point order, whichever
     /// build strategy runs, so downstream range queries are deterministic.
-    pub fn build(points: &'a [Point3], cell_side: f64) -> Self {
+    pub fn build(points: &'a [Point3], cell_side: f64, threads: usize) -> Self {
         assert!(cell_side > 0.0, "cell side must be positive");
-        #[cfg(feature = "parallel")]
-        {
-            let pool = dbgc_parallel::ThreadPool::global();
-            if pool.threads() > 1 && points.len() >= PARALLEL_BUILD_MIN_POINTS {
+        if points.len() >= PARALLEL_BUILD_MIN_POINTS {
+            if let Some(pool) = dbgc_parallel::pool_for(threads) {
                 return Self::build_sharded(points, cell_side, pool);
             }
         }
@@ -52,7 +50,6 @@ impl<'a> UniformGrid<'a> {
     /// into a private shard, then shards merge in chunk order. Chunks are
     /// ascending index ranges, so shard-order concatenation keeps every
     /// per-cell list in ascending order — identical to the serial build.
-    #[cfg(feature = "parallel")]
     fn build_sharded(
         points: &'a [Point3],
         cell_side: f64,
@@ -175,7 +172,7 @@ mod tests {
     #[test]
     fn neighbors_within_radius() {
         let pts = grid_points();
-        let grid = UniformGrid::build(&pts, 0.1);
+        let grid = UniformGrid::build(&pts, 0.1, 0);
         let mut out = Vec::new();
         grid.neighbors_within(0, 0.1, &mut out);
         out.sort_unstable();
@@ -185,7 +182,7 @@ mod tests {
     #[test]
     fn count_includes_self() {
         let pts = grid_points();
-        let grid = UniformGrid::build(&pts, 0.1);
+        let grid = UniformGrid::build(&pts, 0.1, 0);
         assert_eq!(grid.count_within(0, 0.1), 4);
         assert_eq!(grid.count_within(3, 0.1), 1); // isolated point
     }
@@ -194,7 +191,7 @@ mod tests {
     fn neighbors_across_cell_borders() {
         // Points in adjacent cells but within radius.
         let pts = vec![Point3::new(0.099, 0.0, 0.0), Point3::new(0.101, 0.0, 0.0)];
-        let grid = UniformGrid::build(&pts, 0.1);
+        let grid = UniformGrid::build(&pts, 0.1, 0);
         let mut out = Vec::new();
         grid.neighbors_within(0, 0.1, &mut out);
         assert_eq!(out, vec![1]);
@@ -203,7 +200,7 @@ mod tests {
     #[test]
     fn negative_coordinates() {
         let pts = vec![Point3::new(-0.05, -0.05, -0.05), Point3::new(0.01, 0.01, 0.01)];
-        let grid = UniformGrid::build(&pts, 0.1);
+        let grid = UniformGrid::build(&pts, 0.1, 0);
         let mut out = Vec::new();
         grid.neighbors_within(0, 0.2_f64.min(0.1), &mut out);
         // dist ≈ 0.104 > 0.1: not a neighbour at radius 0.1.
@@ -211,11 +208,9 @@ mod tests {
         assert_eq!(grid.cell_of(0), (-1, -1, -1));
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn sharded_build_matches_serial() {
         use rand::{Rng, SeedableRng};
-        dbgc_parallel::ThreadPool::global().ensure_total(4);
         let mut rng = rand::rngs::StdRng::seed_from_u64(51);
         // Enough points to clear PARALLEL_BUILD_MIN_POINTS.
         let pts: Vec<Point3> = (0..PARALLEL_BUILD_MIN_POINTS + 1000)
@@ -227,11 +222,14 @@ mod tests {
                 )
             })
             .collect();
-        let sharded = UniformGrid::build(&pts, 0.5);
         let serial = UniformGrid::build_serial(&pts, 0.5);
-        assert_eq!(sharded.cell_count(), serial.cell_count());
-        for (cell, idxs) in serial.iter_cells() {
-            assert_eq!(sharded.points_in_cell(*cell), idxs.as_slice(), "cell {cell:?}");
+        for threads in [1, 2, 4] {
+            let built = UniformGrid::build(&pts, 0.5, threads);
+            assert_eq!(built.cell_count(), serial.cell_count(), "threads {threads}");
+            for (cell, idxs) in serial.iter_cells() {
+                let got = built.points_in_cell(*cell);
+                assert_eq!(got, idxs.as_slice(), "threads {threads} cell {cell:?}");
+            }
         }
     }
 
@@ -249,7 +247,7 @@ mod tests {
             })
             .collect();
         let radius = 0.15;
-        let grid = UniformGrid::build(&pts, radius);
+        let grid = UniformGrid::build(&pts, radius, 0);
         let mut out = Vec::new();
         for i in 0..pts.len() {
             grid.neighbors_within(i, radius, &mut out);

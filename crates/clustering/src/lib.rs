@@ -23,6 +23,10 @@
 //! Clustering runs on the *encoder only* — the decoder never needs to
 //! reproduce it — so variants may differ slightly in their dense sets without
 //! affecting correctness, only the compression ratio.
+//!
+//! All three take `threads` with `DbgcConfig::threads`' meaning (`0` = the
+//! global pool, `1` = inline, `n > 1` = grow the pool; see
+//! `dbgc_parallel::pool_for`). Every split is identical for every setting.
 
 #![warn(missing_docs)]
 
@@ -32,39 +36,11 @@ pub mod dbscan;
 pub mod grid;
 pub mod params;
 
-pub use approx::{approx_cluster, approx_cluster_threads};
+pub use approx::approx_cluster;
 pub use cell_based::cell_based_cluster;
 pub use dbscan::{dbscan, DbscanResult};
 pub use grid::UniformGrid;
 pub use params::ClusterParams;
-
-/// Ordered map over `items` with explicit thread semantics matching
-/// `DbgcConfig::threads`:
-/// `0` = use the current pool, `1` = inline serial (no pool touch), `n > 1` =
-/// grow the pool to at least `n` workers first. Output is identical for every
-/// setting.
-#[cfg(feature = "parallel")]
-pub(crate) fn par_map_t<T: Sync, R: Send>(
-    items: &[T],
-    threads: usize,
-    f: impl Fn(usize, &T) -> R + Sync,
-) -> Vec<R> {
-    if threads != 1 {
-        let pool = dbgc_parallel::ThreadPool::global();
-        if threads > 1 {
-            pool.ensure_total(threads);
-        }
-        return pool.map(items, f);
-    }
-    items.iter().enumerate().map(|(i, t)| f(i, t)).collect()
-}
-
-/// Serial fallback of [`par_map_t`] when the `parallel` feature is disabled.
-#[cfg(not(feature = "parallel"))]
-pub(crate) fn par_map_t<T, R>(items: &[T], threads: usize, f: impl Fn(usize, &T) -> R) -> Vec<R> {
-    let _ = threads;
-    items.iter().enumerate().map(|(i, t)| f(i, t)).collect()
-}
 
 /// Outcome of a dense/sparse split: `dense[i]` tells whether input point `i`
 /// was classified dense.

@@ -35,8 +35,8 @@ pub fn bitpack_encode(vals: &[i64]) -> Vec<u8> {
     for block in vals.chunks(BLOCK) {
         // OR-folding the zigzagged values gives the block width with a single
         // leading_zeros: width(a | b) == max(width(a), width(b)). The zigzag
-        // transform and fold run through the batch kernel (AVX2 when the
-        // `simd` feature detects it; identical bytes either way).
+        // transform and fold run through the batch kernel (AVX2 when the CPU
+        // has it; identical bytes either way).
         let zz = &mut zz[..block.len()];
         let folded = crate::simd::zigzag_encode_block(block, zz);
         let width = width_of(folded);

@@ -16,8 +16,8 @@
 //!   lanes, which breaks the decoder's serial interval-state dependency
 //!   chain; every entropy profile codes through it, and at one lane its
 //!   bytes are exactly [`range`]'s;
-//! * [`simd`] — feature-gated `core::arch` helpers with mandatory scalar
-//!   fallbacks, used by the batch bitpack/delta kernels;
+//! * [`simd`] — `core::arch` AVX2 helpers, picked at run time, with
+//!   mandatory scalar fallbacks, used by the batch bitpack/delta kernels;
 //! * [`model`] — adaptive frequency models (order-0 and contextual) backed by
 //!   Fenwick trees;
 //! * [`huffman`] — canonical Huffman coding;

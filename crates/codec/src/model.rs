@@ -137,7 +137,7 @@ fn fw_rescale(tree: &mut [u32]) -> u64 {
     }
     // Batch ceil-halve (`(x >> 1) + (x & 1)` per 32-bit lane) through the
     // vectorized kernel — u64 paired lanes on the scalar path, eight lanes
-    // per AVX2 step when the `simd` feature detects support. Every frequency
+    // per AVX2 step when the CPU supports it. Every frequency
     // is >= 1 on entry so the result stays >= 1 (the invariant the old
     // `.max(1)` guarded; a lane can only reach 0 from 0, which the all-ones
     // init and additive updates rule out).

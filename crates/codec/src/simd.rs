@@ -1,29 +1,29 @@
-//! Feature-gated SIMD kernels with mandatory scalar fallbacks.
+//! SIMD kernels with mandatory scalar fallbacks.
 //!
 //! The batch hot loops of the codec — zigzag transform + OR-fold width scan
 //! in [`crate::bitpack`], frequency halving in the Fenwick rescale
 //! ([`crate::model`]), and the radial-delta transform ([`crate::delta`]) —
 //! funnel through the free functions here. Each has exactly one semantic: the
-//! scalar implementation. When the crate is built with the `simd` feature on
-//! `x86_64`, an AVX2 path is dispatched at runtime via
-//! `is_x86_feature_detected!`; it is required to be bit-identical to the
+//! scalar implementation. On `x86_64` an AVX2 path is dispatched at run time
+//! via `is_x86_feature_detected!`; it is required to be bit-identical to the
 //! scalar path (pure integer lane arithmetic, no reassociation of anything
-//! order-sensitive), so stream bytes never depend on the host CPU. Every
-//! other target — or a `simd`-less build — compiles only the scalar code.
+//! order-sensitive), so stream bytes never depend on the host CPU, and a
+//! property test holds the two equal on arbitrary input. Every other target,
+//! and an `x86_64` CPU without AVX2, runs the scalar code.
 //!
 //! Dispatch outcome is cached in a process-wide atomic so steady-state calls
 //! pay one relaxed load, not a `cpuid`.
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Whether the AVX2 paths are compiled in *and* supported by this CPU.
+/// Whether this CPU runs the AVX2 paths (detected once, at run time).
 ///
-/// Always `false` without the `simd` feature or off `x86_64`; callers can
-/// use it to report which path a benchmark actually measured.
+/// Always `false` off `x86_64`; callers can use it to report which path a
+/// benchmark actually measured.
 #[inline]
 pub fn avx2_enabled() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         // 0 = unknown, 1 = no, 2 = yes.
         static AVX2: AtomicU8 = AtomicU8::new(0);
@@ -36,7 +36,7 @@ pub fn avx2_enabled() -> bool {
             n => n == 2,
         }
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         false
     }
@@ -49,7 +49,7 @@ pub fn avx2_enabled() -> bool {
 #[inline]
 pub fn zigzag_encode_block(src: &[i64], dst: &mut [u64]) -> u64 {
     debug_assert_eq!(src.len(), dst.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if avx2_enabled() {
         // SAFETY: AVX2 support was just verified at runtime.
         return unsafe { zigzag_encode_block_avx2(src, dst) };
@@ -72,7 +72,7 @@ fn zigzag_encode_block_scalar(src: &[i64], dst: &mut [u64]) -> u64 {
 #[inline]
 pub fn zigzag_decode_block(src: &[u64], dst: &mut [i64]) {
     debug_assert_eq!(src.len(), dst.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if avx2_enabled() {
         // SAFETY: AVX2 support was just verified at runtime.
         unsafe { zigzag_decode_block_avx2(src, dst) };
@@ -94,7 +94,7 @@ fn zigzag_decode_block_scalar(src: &[u64], dst: &mut [i64]) {
 /// and return the sum of the halved values. Frequencies `>= 1` stay `>= 1`.
 #[inline]
 pub fn halve_freqs(freqs: &mut [u32]) -> u64 {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if avx2_enabled() {
         // SAFETY: AVX2 support was just verified at runtime.
         return unsafe { halve_freqs_avx2(freqs) };
@@ -131,7 +131,7 @@ fn halve_freqs_scalar(freqs: &mut [u32]) -> u64 {
 /// lanes per step.
 #[inline]
 pub fn diff_in_place(vals: &mut [i64]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if avx2_enabled() {
         // SAFETY: AVX2 support was just verified at runtime.
         unsafe { diff_in_place_avx2(vals) };
@@ -152,7 +152,7 @@ fn diff_in_place_scalar(vals: &mut [i64]) {
 /// sum in a register, the AVX2 path uses the in-lane shift-add scan.
 #[inline]
 pub fn prefix_sum_in_place(vals: &mut [i64]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if avx2_enabled() {
         // SAFETY: AVX2 support was just verified at runtime.
         unsafe { prefix_sum_in_place_avx2(vals) };
@@ -177,7 +177,7 @@ fn prefix_sum_in_place_scalar(vals: &mut [i64]) {
 
 // ---- AVX2 implementations ------------------------------------------------
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn zigzag_encode_block_avx2(src: &[i64], dst: &mut [u64]) -> u64 {
     use std::arch::x86_64::*;
@@ -202,7 +202,7 @@ unsafe fn zigzag_encode_block_avx2(src: &[i64], dst: &mut [u64]) -> u64 {
     folded
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn zigzag_decode_block_avx2(src: &[u64], dst: &mut [i64]) {
     use std::arch::x86_64::*;
@@ -221,7 +221,7 @@ unsafe fn zigzag_decode_block_avx2(src: &[u64], dst: &mut [i64]) {
     zigzag_decode_block_scalar(&src[i..n], &mut dst[i..n]);
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn halve_freqs_avx2(freqs: &mut [u32]) -> u64 {
     use std::arch::x86_64::*;
@@ -249,7 +249,7 @@ unsafe fn halve_freqs_avx2(freqs: &mut [u32]) -> u64 {
     total
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn diff_in_place_avx2(vals: &mut [i64]) {
     use std::arch::x86_64::*;
@@ -271,7 +271,7 @@ unsafe fn diff_in_place_avx2(vals: &mut [i64]) {
     diff_in_place_scalar(&mut vals[..i]);
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn prefix_sum_in_place_avx2(vals: &mut [i64]) {
     use std::arch::x86_64::*;
@@ -309,6 +309,7 @@ unsafe fn prefix_sum_in_place_avx2(vals: &mut [i64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn mixed_i64(n: usize) -> Vec<i64> {
         (0..n as u64)
@@ -375,65 +376,71 @@ mod tests {
         assert_eq!(v, orig);
     }
 
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[test]
-    fn avx2_paths_match_scalar_exactly() {
-        if !avx2_enabled() {
-            eprintln!("avx2 not available; dispatch test degenerates to scalar-vs-scalar");
-        }
-        for n in [0usize, 1, 4, 5, 8, 9, 63, 64, 65, 500] {
-            let src = mixed_i64(n);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Each AVX2 kernel equals its scalar reference bit for bit, on any
+        /// length up to 1024, any `i64`, and frequencies in the model's
+        /// `1..2^17`. Without AVX2 it degenerates to scalar against scalar.
+        #[cfg(target_arch = "x86_64")]
+        #[test]
+        fn avx2_paths_match_scalar_exactly(
+            src in collection::vec(any::<i64>(), 0..=1024),
+            freqs in collection::vec(1u32..(1 << 17), 0..=1024),
+        ) {
+            let avx2 = avx2_enabled();
+            let n = src.len();
+            // SAFETY (every `unsafe` call below): only made when `avx2` says
+            // this CPU supports AVX2.
             let mut a = vec![0u64; n];
             let mut b = vec![0u64; n];
-            // SAFETY: guarded by the runtime check above (scalar-vs-scalar
-            // when the CPU lacks AVX2 — the unsafe call is skipped).
-            let fold_simd = if avx2_enabled() {
+            let fold_simd = if avx2 {
                 unsafe { zigzag_encode_block_avx2(&src, &mut a) }
             } else {
                 zigzag_encode_block_scalar(&src, &mut a)
             };
             let fold_scalar = zigzag_encode_block_scalar(&src, &mut b);
-            assert_eq!(a, b, "zigzag encode n={n}");
-            assert_eq!(fold_simd, fold_scalar, "fold n={n}");
+            prop_assert_eq!(&a, &b, "zigzag encode n={}", n);
+            prop_assert_eq!(fold_simd, fold_scalar, "fold n={}", n);
 
             let mut da = vec![0i64; n];
             let mut db = vec![0i64; n];
-            if avx2_enabled() {
+            if avx2 {
                 unsafe { zigzag_decode_block_avx2(&a, &mut da) };
             } else {
                 zigzag_decode_block_scalar(&a, &mut da);
             }
             zigzag_decode_block_scalar(&b, &mut db);
-            assert_eq!(da, db, "zigzag decode n={n}");
+            prop_assert_eq!(&da, &db, "zigzag decode n={}", n);
 
             let mut fa = src.clone();
             let mut fb = src.clone();
-            if avx2_enabled() {
+            if avx2 {
                 unsafe { diff_in_place_avx2(&mut fa) };
             } else {
                 diff_in_place_scalar(&mut fa);
             }
             diff_in_place_scalar(&mut fb);
-            assert_eq!(fa, fb, "diff n={n}");
+            prop_assert_eq!(&fa, &fb, "diff n={}", n);
 
-            if avx2_enabled() {
+            if avx2 {
                 unsafe { prefix_sum_in_place_avx2(&mut fa) };
             } else {
                 prefix_sum_in_place_scalar(&mut fa);
             }
             prefix_sum_in_place_scalar(&mut fb);
-            assert_eq!(fa, fb, "prefix sum n={n}");
+            prop_assert_eq!(&fa, &fb, "prefix sum n={}", n);
 
-            let mut ha: Vec<u32> = src.iter().map(|&v| (v as u32) % (1 << 17) + 1).collect();
-            let mut hb = ha.clone();
-            let ta = if avx2_enabled() {
+            let mut ha = freqs.clone();
+            let mut hb = freqs;
+            let ta = if avx2 {
                 unsafe { halve_freqs_avx2(&mut ha) }
             } else {
                 halve_freqs_scalar(&mut ha)
             };
             let tb = halve_freqs_scalar(&mut hb);
-            assert_eq!(ha, hb, "halve n={n}");
-            assert_eq!(ta, tb, "halve total n={n}");
+            prop_assert_eq!(&ha, &hb, "halve n={}", ha.len());
+            prop_assert_eq!(ta, tb, "halve total n={}", ha.len());
         }
     }
 }

@@ -76,11 +76,12 @@ pub struct DbgcConfig {
     pub outlier_mode: OutlierMode,
     /// Sensor metadata supplying `u_θ` and `u_φ` for polyline organization.
     pub sensor: SensorMeta,
-    /// Worker threads for the intra-frame parallel stages (requires the
-    /// `parallel` feature): `0` = use the process-wide pool at its current
-    /// size (hardware threads, or `DBGC_THREADS`); `1` = run every stage
-    /// inline on the calling thread; `n > 1` = grow the shared pool to at
-    /// least `n` threads. The bitstream is byte-identical for every setting.
+    /// Worker threads for the intra-frame parallel stages (spherical
+    /// conversion, per-group ORG+SPA, clustering): `0` = use the process-wide
+    /// pool at its current size (hardware threads, or `DBGC_THREADS`); `1` =
+    /// run every stage inline on the calling thread; `n > 1` = grow the shared
+    /// pool to at least `n` threads (see `dbgc_parallel::pool_for`). The
+    /// bitstream is byte-identical for every setting.
     pub threads: usize,
     /// Entropy profile for the range-coded substreams: how many interleaved
     /// lanes the range coder deals symbols over (same probabilities, split

@@ -55,7 +55,6 @@ pub mod error;
 pub mod index;
 pub mod layout;
 pub mod outlier;
-pub(crate) mod par;
 pub mod pipeline;
 pub mod sparse;
 pub mod stats;

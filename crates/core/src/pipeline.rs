@@ -4,7 +4,7 @@
 
 use std::time::Instant;
 
-use dbgc_clustering::{approx_cluster_threads, cell_based_cluster, dbscan, DensitySplit};
+use dbgc_clustering::{approx_cluster, cell_based_cluster, dbscan, DensitySplit};
 use dbgc_codec::varint::{write_f64, write_uvarint};
 use dbgc_geom::quant::{quantize, QuantParams, SphericalQuant};
 use dbgc_geom::{Aabb, Point3, PointCloud, Spherical};
@@ -14,7 +14,6 @@ use dbgc_octree::OctreeCodec;
 use crate::config::{ClusteringAlgorithm, DbgcConfig, OutlierMode, SplitStrategy};
 use crate::index::{append_index_trailer, GroupEntry, SectionEntry, SpatialDirectory};
 use crate::outlier::encode_outliers;
-use crate::par;
 use crate::sparse::codec::{encode_group_to_buf, GroupCodecConfig, ScratchBuffers};
 use crate::sparse::organize::{organize_sparse_points_into, OrganizeScratch, Organized};
 use crate::stats::{CompressionStats, SectionSizes, TimingBreakdown};
@@ -265,7 +264,7 @@ impl Dbgc {
         let t = Instant::now();
         let sparse_pts: Vec<Point3> = sparse_idx.iter().map(|&i| points[i]).collect();
         let sparse_sph: Vec<Spherical> =
-            par::map(cfg.threads, None, &sparse_pts, |_, p| p.to_spherical());
+            dbgc_parallel::map(cfg.threads, &sparse_pts, |_, p| p.to_spherical());
         timing.cor = t.elapsed();
         drop(stage);
 
@@ -336,7 +335,7 @@ impl Dbgc {
         let mut spa_cpu = std::time::Duration::ZERO;
         let sparse_wall = GROUP_ARENA.with(|arena| {
             let arena = &mut *arena.borrow_mut();
-            par::map_reuse(cfg.threads, 1, &groups, arena, |_, group, slot| {
+            dbgc_parallel::map_into(cfg.threads, 1, &groups, arena, |_, group, slot| {
                 SCRATCH.with(|scratch| {
                     self.encode_group_into(
                         group,
@@ -570,13 +569,11 @@ impl Dbgc {
     fn split(&self, points: &[Point3]) -> DensitySplit {
         match self.config.split {
             SplitStrategy::Density(alg) => {
-                let params = self.config.cluster_params();
+                let (params, threads) = (self.config.cluster_params(), self.config.threads);
                 match alg {
-                    ClusteringAlgorithm::Approximate => {
-                        approx_cluster_threads(points, params, self.config.threads)
-                    }
-                    ClusteringAlgorithm::CellBased => cell_based_cluster(points, params),
-                    ClusteringAlgorithm::Dbscan => dbscan(points, params).split(),
+                    ClusteringAlgorithm::Approximate => approx_cluster(points, params, threads),
+                    ClusteringAlgorithm::CellBased => cell_based_cluster(points, params, threads),
+                    ClusteringAlgorithm::Dbscan => dbscan(points, params, threads).split(),
                 }
             }
             SplitStrategy::NearestFraction(f) => {

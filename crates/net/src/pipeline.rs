@@ -9,9 +9,9 @@
 //!
 //! ## Two-level parallelism
 //!
-//! With the `parallel` feature (default), each worker's `compress` call also
-//! parallelizes *within* the frame — spherical conversion, per-group ORG+SPA,
-//! clustering grid build — over the process-wide `dbgc-parallel` pool. Frame
+//! Unless the config asks for `threads = 1`, each worker's `compress` call
+//! also parallelizes *within* the frame — spherical conversion, per-group
+//! ORG+SPA, clustering — over the process-wide `dbgc-parallel` pool. Frame
 //! workers and intra-frame helpers share that single pool: a scoped run's
 //! initiating thread participates in its own work and never blocks on busy
 //! pool workers, so stacking the two levels cannot deadlock or oversubscribe
@@ -485,7 +485,6 @@ mod tests {
         assert_eq!(piped.bytes, direct.bytes);
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn intra_frame_parallelism_matches_serial_bytes() {
         // Frame-level workers and intra-frame pool helpers run concurrently;

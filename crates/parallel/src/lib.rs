@@ -17,6 +17,11 @@
 //! Determinism: [`ThreadPool::map`] returns results **in input order**
 //! regardless of which thread computed what, so parallel callers can produce
 //! byte-identical output to their serial equivalents.
+//!
+//! Thread counts: the compressor's `threads` setting is resolved in one
+//! place, [`pool_for`], and the ordered maps [`map`] and [`map_into`] apply
+//! it. `0` uses the global pool at its current size, `1` runs inline without
+//! touching the pool, and `n > 1` grows the global pool to `n` first.
 
 #![warn(missing_docs)]
 
@@ -260,6 +265,57 @@ impl ThreadPool {
     }
 }
 
+/// The pool a `threads` setting fans out over, or `None` to run inline.
+///
+/// `0` = the global pool at its current size (hardware threads, or
+/// `DBGC_THREADS`); `1` = inline, without creating or growing the global
+/// pool; `n > 1` = the global pool, grown to at least `n` threads first. A
+/// pool of one thread also runs inline.
+pub fn pool_for(threads: usize) -> Option<&'static ThreadPool> {
+    if threads == 1 {
+        return None;
+    }
+    let pool = ThreadPool::global();
+    if threads > 1 {
+        pool.ensure_total(threads);
+    }
+    (pool.threads() > 1).then_some(pool)
+}
+
+/// Ordered map `out[i] = f(i, &items[i])` over the pool [`pool_for`] picks
+/// for `threads`; a plain loop when it picks none. The output is the same
+/// for every `threads`.
+pub fn map<T: Sync, R: Send>(
+    threads: usize,
+    items: &[T],
+    f: impl Fn(usize, &T) -> R + Sync,
+) -> Vec<R> {
+    match pool_for(threads) {
+        Some(pool) => pool.map(items, f),
+        None => items.iter().enumerate().map(|(i, t)| f(i, t)).collect(),
+    }
+}
+
+/// [`ThreadPool::map_into`] over the pool [`pool_for`] picks for `threads`;
+/// a plain loop over the resized arena when it picks none.
+pub fn map_into<T: Sync, R: Default + Send>(
+    threads: usize,
+    grain: usize,
+    items: &[T],
+    out: &mut Vec<R>,
+    f: impl Fn(usize, &T, &mut R) + Sync,
+) {
+    match pool_for(threads) {
+        Some(pool) => pool.map_into(items, grain, out, f),
+        None => {
+            out.resize_with(items.len(), R::default);
+            for (i, (item, slot)) in items.iter().zip(out.iter_mut()).enumerate() {
+                f(i, item, slot);
+            }
+        }
+    }
+}
+
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
@@ -429,6 +485,41 @@ mod tests {
             slot.extend(std::iter::repeat(9u8).take(x % 13));
         });
         assert_eq!(caps, arena.iter().map(|s| s.capacity()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn one_thread_runs_on_the_caller_beside_a_wide_global_pool() {
+        ThreadPool::global().ensure_total(3);
+        assert!(ThreadPool::global().threads() >= 3, "global pool needs >= 2 workers");
+        assert!(pool_for(1).is_none());
+        let caller = std::thread::current().id();
+        let items: Vec<u32> = (0..64).collect();
+        // Tasks long enough that a fan-out would hand some to pool workers.
+        let on_thread = |_: usize, _: &u32| {
+            std::thread::sleep(std::time::Duration::from_micros(200));
+            std::thread::current().id()
+        };
+        assert!(map(1, &items, on_thread).iter().all(|&id| id == caller));
+        let mut arena: Vec<Option<std::thread::ThreadId>> = Vec::new();
+        map_into(1, 1, &items, &mut arena, |i, x, slot| *slot = Some(on_thread(i, x)));
+        assert_eq!(arena.len(), items.len());
+        assert!(arena.iter().all(|&id| id == Some(caller)));
+    }
+
+    #[test]
+    fn thread_counts_resolve_to_the_global_pool_and_match_serial() {
+        let pool = pool_for(4).expect("4 threads fan out");
+        assert!(std::ptr::eq(pool, ThreadPool::global()));
+        assert!(pool.threads() >= 4);
+        assert!(pool_for(0).is_some(), "0 uses the grown global pool");
+        let items: Vec<i64> = (0..1000).map(|i| i * 7 - 300).collect();
+        let expected: Vec<i64> = items.iter().map(|&x| x.rotate_left(5)).collect();
+        for threads in [0, 1, 2, 4] {
+            assert_eq!(map(threads, &items, |_, &x| x.rotate_left(5)), expected);
+            let mut arena: Vec<i64> = Vec::new();
+            map_into(threads, 3, &items, &mut arena, |_, &x, slot| *slot = x.rotate_left(5));
+            assert_eq!(arena, expected, "threads {threads}");
+        }
     }
 
     #[test]

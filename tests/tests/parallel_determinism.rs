@@ -77,7 +77,7 @@ fn den_stage_shards_merge_deterministically() {
     // shard schedule. 48k points guarantee several shards per worker, and the
     // blob/scatter mix exercises both dense and sparse verdicts across shard
     // boundaries.
-    use dbgc_clustering::{approx_cluster_threads, ClusterParams};
+    use dbgc_clustering::{approx_cluster, ClusterParams};
 
     let mut state = 0x2545F4914F6CDD1Du64;
     let mut next = move || {
@@ -100,9 +100,9 @@ fn den_stage_shards_merge_deterministically() {
     assert!(cloud.len() > (1 << 15), "cloud must span multiple count shards");
 
     let params = ClusterParams { eps: 0.5, min_pts: 40 };
-    let serial = approx_cluster_threads(cloud.points(), params, 1);
+    let serial = approx_cluster(cloud.points(), params, 1);
     for threads in [2, 4] {
-        let parallel = approx_cluster_threads(cloud.points(), params, threads);
+        let parallel = approx_cluster(cloud.points(), params, threads);
         assert_eq!(serial.dense, parallel.dense, "den split diverged at {threads} threads");
     }
     // Sanity: the mix actually produces both classes, so the equality above

@@ -89,18 +89,18 @@ proptest! {
         // this degenerate setting and is exercised by its own suite.)
         prop_assume!(!cloud.is_empty());
         let params = dbgc_clustering::ClusterParams::new(0.5, 1);
-        let b = dbgc_clustering::cell_based_cluster(cloud.points(), params);
-        let c = dbgc_clustering::dbscan(cloud.points(), params).split();
+        let b = dbgc_clustering::cell_based_cluster(cloud.points(), params, 0);
+        let c = dbgc_clustering::dbscan(cloud.points(), params, 0).split();
         prop_assert_eq!(b.dense_count(), cloud.len());
         prop_assert_eq!(c.dense_count(), cloud.len());
         // And with an impossible threshold nothing is dense, in all three.
         let never = dbgc_clustering::ClusterParams::new(0.5, usize::MAX);
         prop_assert_eq!(
-            dbgc_clustering::approx_cluster(cloud.points(), never).dense_count(),
+            dbgc_clustering::approx_cluster(cloud.points(), never, 0).dense_count(),
             0
         );
         prop_assert_eq!(
-            dbgc_clustering::cell_based_cluster(cloud.points(), never).dense_count(),
+            dbgc_clustering::cell_based_cluster(cloud.points(), never, 0).dense_count(),
             0
         );
     }
