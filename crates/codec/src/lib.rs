@@ -6,6 +6,8 @@
 //! them from scratch:
 //!
 //! * [`bitio`] — MSB-first bit reader/writer;
+//! * [`crc32`] — the table-driven IEEE CRC-32 that checks wire frames and
+//!   index trailers;
 //! * [`varint`] — LEB128 varints and zigzag mapping for signed integers;
 //! * [`delta`] — delta encoding (paper Definition 2.3);
 //! * [`rle`] — run-length encoding;
@@ -35,6 +37,7 @@
 
 pub mod bitio;
 pub mod bitpack;
+pub mod crc32;
 pub mod deflate;
 pub mod delta;
 pub mod entropy;

@@ -24,6 +24,7 @@
 //! encode time from the exact values the decoder will reconstruct, so a
 //! query planner pruning on them can never drop a matching point.
 
+use dbgc_codec::crc32::crc32;
 use dbgc_codec::varint::{write_f64, write_uvarint, ByteReader};
 use dbgc_geom::{Aabb, Point3};
 
@@ -38,37 +39,6 @@ pub const INDEX_MAGIC: [u8; 4] = *b"DIDX";
 /// Fixed trailer overhead beyond the payload: crc (4) + len (4) +
 /// version (1) + magic (4).
 const TRAILER_FIXED: usize = 13;
-
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected) — table built at compile time.
-// ---------------------------------------------------------------------------
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC32_TABLE: [u32; 256] = crc32_table();
-
-/// CRC-32 (IEEE) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 // ---------------------------------------------------------------------------
 // Directory model
@@ -350,6 +320,10 @@ mod tests {
     fn crc32_known_vectors() {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        // Wire frames fold their fields in piece by piece: a split message
+        // must check exactly as the whole one.
+        let head = dbgc_codec::crc32::crc32_update(0xFFFF_FFFF, b"1234");
+        assert_eq!(!dbgc_codec::crc32::crc32_update(head, b"56789"), 0xCBF4_3926);
     }
 
     #[test]

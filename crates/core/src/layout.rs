@@ -13,15 +13,19 @@
 
 use std::ops::Range;
 
-use dbgc_codec::varint::ByteReader;
+use dbgc_codec::varint::{write_f64, write_uvarint, ByteReader};
 use dbgc_geom::quant::SphericalQuant;
 use dbgc_geom::{Point3, PointCloud};
 use dbgc_octree::{OctreeCodec, OctreeDecodeResult};
 
 use crate::outlier::decode_outliers;
-use crate::pipeline::{FLAG_RADIAL, FLAG_SPHERICAL, MAGIC};
 use crate::sparse::codec::{decode_group_with_limit, GroupCodecConfig};
-use crate::{DbgcError, EntropyProfile};
+use crate::{DbgcConfig, DbgcError, EntropyProfile};
+
+/// Stream magic; the version byte after it names the [`EntropyProfile`].
+const MAGIC: [u8; 4] = *b"DBGC";
+const FLAG_SPHERICAL: u8 = 0b01;
+const FLAG_RADIAL: u8 = 0b10;
 
 /// Parsed and validated stream header fields.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,6 +51,46 @@ pub struct StreamHeader {
     pub declared_points: usize,
     /// Bytes the header occupies; sections start at this offset.
     pub header_len: usize,
+}
+
+/// Append the header of a frame of `points` points in `n_groups` sparse
+/// groups encoded under `cfg`, in the layout [`parse_header`] reads, and
+/// return it as `parse_header` reads it back.
+pub(crate) fn write_header(
+    out: &mut Vec<u8>,
+    cfg: &DbgcConfig,
+    n_groups: usize,
+    points: usize,
+) -> StreamHeader {
+    let start = out.len();
+    let h = StreamHeader {
+        profile: cfg.entropy_profile,
+        q_xyz: cfg.q_xyz,
+        u_theta: cfg.sensor.u_theta(),
+        u_phi: cfg.sensor.u_phi(),
+        th_r: cfg.th_r,
+        spherical: cfg.spherical_conversion,
+        radial: cfg.radial_optimized,
+        n_groups,
+        declared_points: points,
+        header_len: 0,
+    };
+    out.extend_from_slice(&MAGIC);
+    out.push(h.profile.version());
+    for v in [h.q_xyz, h.u_theta, h.u_phi, h.th_r] {
+        write_f64(out, v);
+    }
+    let mut flags = 0u8;
+    if h.spherical {
+        flags |= FLAG_SPHERICAL;
+    }
+    if h.radial {
+        flags |= FLAG_RADIAL;
+    }
+    out.push(flags);
+    write_uvarint(out, n_groups as u64);
+    write_uvarint(out, points as u64);
+    StreamHeader { header_len: out.len() - start, ..h }
 }
 
 /// Parse and validate the stream header of `body` (a stream with any index
@@ -178,6 +222,20 @@ pub fn read_group_r_max(r: &mut ByteReader<'_>) -> Result<f64, DbgcError> {
     Ok(r_max)
 }
 
+/// The decoded position of one quantized sparse point: through the group's
+/// spherical quantizer, or on the Cartesian grid of step `2·q_xyz` when
+/// there is none. The encoder bounds its index entries with this function,
+/// so those bounds hold for the decoded `f64` values bit for bit.
+pub(crate) fn dequantize_point(q: [i64; 3], sq: Option<&SphericalQuant>, q_xyz: f64) -> Point3 {
+    match sq {
+        Some(sq) => sq.dequantize(q).to_cartesian(),
+        None => {
+            let step = 2.0 * q_xyz;
+            Point3::new(q[0] as f64 * step, q[1] as f64 * step, q[2] as f64 * step)
+        }
+    }
+}
+
 /// Materialize decoded quantized polylines into Cartesian points, exactly as
 /// the sequential decoder does (bit-identical `f64` results).
 pub fn push_dequantized(
@@ -186,26 +244,8 @@ pub fn push_dequantized(
     q_xyz: f64,
     cloud: &mut PointCloud,
 ) {
-    match sq {
-        Some(sq) => {
-            for line in lines {
-                for &p in line {
-                    cloud.push(sq.dequantize(p).to_cartesian());
-                }
-            }
-        }
-        None => {
-            let step = 2.0 * q_xyz;
-            for line in lines {
-                for &p in line {
-                    cloud.push(Point3::new(
-                        p[0] as f64 * step,
-                        p[1] as f64 * step,
-                        p[2] as f64 * step,
-                    ));
-                }
-            }
-        }
+    for &q in lines.iter().flatten() {
+        cloud.push(dequantize_point(q, sq, q_xyz));
     }
 }
 
@@ -273,4 +313,27 @@ pub fn decode_outlier_span(
         return Err(DbgcError::BadHeader("trailing bytes after outlier section"));
     }
     Ok(pts)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn header_writer_is_the_parsers_inverse() {
+        for profile in [EntropyProfile::Narrow, EntropyProfile::Dual, EntropyProfile::Wide] {
+            for (spherical, radial) in [(true, true), (true, false), (false, true), (false, false)]
+            {
+                let mut cfg = DbgcConfig::with_error_bound(0.02);
+                cfg.entropy_profile = profile;
+                cfg.spherical_conversion = spherical;
+                cfg.radial_optimized = radial;
+                let mut out = Vec::new();
+                let written = write_header(&mut out, &cfg, 3, 1000);
+                assert_eq!(written.header_len, out.len());
+                out.resize(out.len() + 3 * 8, 0); // room for three groups' r_max
+                assert_eq!(parse_header(&out).expect("parse"), written);
+            }
+        }
+    }
 }

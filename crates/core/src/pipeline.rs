@@ -13,8 +13,9 @@ use dbgc_octree::OctreeCodec;
 
 use crate::config::{ClusteringAlgorithm, DbgcConfig, OutlierMode, SplitStrategy};
 use crate::index::{append_index_trailer, GroupEntry, SectionEntry, SpatialDirectory};
+use crate::layout::{dequantize_point, group_codec_cfg, write_header, StreamHeader};
 use crate::outlier::encode_outliers;
-use crate::sparse::codec::{encode_group_to_buf, GroupCodecConfig, ScratchBuffers};
+use crate::sparse::codec::{encode_group_to_buf, ScratchBuffers};
 use crate::sparse::organize::{organize_sparse_points_into, OrganizeScratch, Organized};
 use crate::stats::{CompressionStats, SectionSizes, TimingBreakdown};
 use crate::DbgcError;
@@ -40,9 +41,6 @@ std::thread_local! {
     static SCRATCH: std::cell::RefCell<GroupScratch> =
         std::cell::RefCell::new(GroupScratch::default());
 }
-
-/// Stream magic; the version byte after it names the [`EntropyProfile`].
-pub(crate) const MAGIC: [u8; 4] = *b"DBGC";
 
 /// How many interleaved range-coder lanes (`dbgc_codec::laned`) the
 /// entropy-coded sections use. Models are updated in stream order for every
@@ -94,9 +92,6 @@ impl EntropyProfile {
     }
 }
 
-pub(crate) const FLAG_SPHERICAL: u8 = 0b01;
-pub(crate) const FLAG_RADIAL: u8 = 0b10;
-
 /// A compressed frame: the bitstream plus encoder-side metadata.
 #[derive(Debug, Clone)]
 pub struct CompressedFrame {
@@ -141,6 +136,16 @@ struct GroupResult {
     /// `spatial_index` is on): exact AABB and radial interval of the values
     /// the decoder will reconstruct, plus the decoded point count.
     meta: Option<GroupMeta>,
+}
+
+/// What every sparse group of one frame shares: the header the frame writes
+/// (each group's codec configuration derives from it, as in the decoder),
+/// the sparse points in both coordinate systems, and the stage span.
+struct SparseFrame<'a> {
+    header: StreamHeader,
+    sph: &'a [Spherical],
+    pts: &'a [Point3],
+    span: Option<&'a Span>,
 }
 
 /// Decoded-point bounds of one sparse group, computed at encode time by
@@ -286,22 +291,7 @@ impl Dbgc {
 
         // ---- header ------------------------------------------------------
         let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        out.push(cfg.entropy_profile.version());
-        write_f64(&mut out, cfg.q_xyz);
-        write_f64(&mut out, cfg.sensor.u_theta());
-        write_f64(&mut out, cfg.sensor.u_phi());
-        write_f64(&mut out, cfg.th_r);
-        let mut flags = 0u8;
-        if cfg.spherical_conversion {
-            flags |= FLAG_SPHERICAL;
-        }
-        if cfg.radial_optimized {
-            flags |= FLAG_RADIAL;
-        }
-        out.push(flags);
-        write_uvarint(&mut out, groups.len() as u64);
-        write_uvarint(&mut out, points.len() as u64);
+        let header = write_header(&mut out, cfg, groups.len(), points.len());
         sections.header = out.len();
 
         // ---- B_dense ------------------------------------------------------
@@ -329,7 +319,8 @@ impl Dbgc {
         // into the stream in group order below, so the bitstream is
         // byte-identical to the serial in-place loop.
         let group_stage = root.as_ref().map(|s| s.child("sparse_groups"));
-        let group_span = group_stage.as_ref();
+        let shared =
+            SparseFrame { header, sph: &sparse_sph, pts: &sparse_pts, span: group_stage.as_ref() };
         let group_wall = Instant::now();
         let mut org_cpu = std::time::Duration::ZERO;
         let mut spa_cpu = std::time::Duration::ZERO;
@@ -337,14 +328,7 @@ impl Dbgc {
             let arena = &mut *arena.borrow_mut();
             dbgc_parallel::map_into(cfg.threads, 1, &groups, arena, |_, group, slot| {
                 SCRATCH.with(|scratch| {
-                    self.encode_group_into(
-                        group,
-                        &sparse_sph,
-                        &sparse_pts,
-                        &mut scratch.borrow_mut(),
-                        group_span,
-                        slot,
-                    )
+                    self.encode_group_into(&shared, group, &mut scratch.borrow_mut(), slot)
                 })
             });
             let sparse_wall = group_wall.elapsed();
@@ -491,18 +475,17 @@ impl Dbgc {
     /// line pool), so a warm slot encodes without allocating.
     fn encode_group_into(
         &self,
+        frame: &SparseFrame<'_>,
         group: &[u32],
-        sparse_sph: &[Spherical],
-        sparse_pts: &[Point3],
         scratch: &mut GroupScratch,
-        span: Option<&Span>,
         result: &mut GroupResult,
     ) {
         let cfg = &self.config;
+        let span = frame.span;
         scratch.g_sph.clear();
-        scratch.g_sph.extend(group.iter().map(|&i| sparse_sph[i as usize]));
+        scratch.g_sph.extend(group.iter().map(|&i| frame.sph[i as usize]));
         scratch.g_cart.clear();
-        scratch.g_cart.extend(group.iter().map(|&i| sparse_pts[i as usize]));
+        scratch.g_cart.extend(group.iter().map(|&i| frame.pts[i as usize]));
         let r_max = scratch.g_sph.iter().map(|s| s.r).fold(0.0f64, f64::max);
 
         // ORG: Algorithm 1. The child span is created and finished on
@@ -525,7 +508,8 @@ impl Dbgc {
         // SPA: steps 1-9.
         let phase = span.map(|s| s.child("spa"));
         let t = Instant::now();
-        let codec_cfg = self.quantize_lines_into(&result.organized.polylines, r_max, scratch);
+        let (codec_cfg, sq) = group_codec_cfg(&frame.header, r_max);
+        self.quantize_lines_into(&result.organized.polylines, sq.as_ref(), scratch);
         result.bytes.clear();
         write_f64(&mut result.bytes, r_max);
         encode_group_to_buf(&mut result.bytes, &scratch.lines_q, &codec_cfg, &mut scratch.codec);
@@ -533,36 +517,7 @@ impl Dbgc {
         drop(phase);
 
         result.meta =
-            if cfg.spatial_index { Some(self.group_meta(&scratch.lines_q, r_max)) } else { None };
-    }
-
-    /// Directory metadata for one group: bounds of the points the *decoder*
-    /// will reconstruct, obtained by running the decoder's own dequantization
-    /// over the quantized polylines (bit-identical `f64` values), so pruning
-    /// on these bounds can never drop a matching point.
-    fn group_meta(&self, lines_q: &[Vec<[i64; 3]>], r_max: f64) -> GroupMeta {
-        let cfg = &self.config;
-        let sq =
-            cfg.spherical_conversion.then(|| SphericalQuant::from_error_bound(cfg.q_xyz, r_max));
-        let step = 2.0 * cfg.q_xyz;
-        let mut meta = GroupMeta { points: 0, aabb: None, r_min: f64::INFINITY, r_max: 0.0 };
-        for line in lines_q {
-            for &q in line {
-                let p = match &sq {
-                    Some(sq) => sq.dequantize(q).to_cartesian(),
-                    None => Point3::new(q[0] as f64 * step, q[1] as f64 * step, q[2] as f64 * step),
-                };
-                meta.points += 1;
-                meta.aabb = Some(match meta.aabb {
-                    Some(bb) => Aabb { min: bb.min.min(p), max: bb.max.max(p) },
-                    None => Aabb { min: p, max: p },
-                });
-                let n = p.norm();
-                meta.r_min = meta.r_min.min(n);
-                meta.r_max = meta.r_max.max(n);
-            }
-        }
-        meta
+            cfg.spatial_index.then(|| group_meta(&scratch.lines_q, sq.as_ref(), cfg.q_xyz));
     }
 
     /// Dense/sparse classification.
@@ -594,55 +549,57 @@ impl Dbgc {
     }
 
     /// Step 1 (coordinate scaling) for one group: quantize the polyline
-    /// points into `scratch.lines_q` and derive the group codec
-    /// configuration. Line buffers are recycled through `scratch.line_pool`
-    /// so a warm scratch quantizes without allocating.
+    /// points into `scratch.lines_q` with the group's spherical quantizer,
+    /// or on the Cartesian grid when there is none. Line buffers are
+    /// recycled through `scratch.line_pool` so a warm scratch quantizes
+    /// without allocating.
     fn quantize_lines_into(
         &self,
         lines: &[Vec<u32>],
-        r_max: f64,
+        sq: Option<&SphericalQuant>,
         scratch: &mut GroupScratch,
-    ) -> GroupCodecConfig {
-        let cfg = &self.config;
+    ) {
         let out = &mut scratch.lines_q;
         let pool = &mut scratch.line_pool;
         pool.extend(out.drain(..).map(|mut l| {
             l.clear();
             l
         }));
-        if cfg.spherical_conversion {
-            let sq = SphericalQuant::from_error_bound(cfg.q_xyz, r_max);
-            for line in lines {
-                let mut q = pool.pop().unwrap_or_default();
-                q.extend(line.iter().map(|&i| sq.quantize(scratch.g_sph[i as usize])));
-                out.push(q);
-            }
-            GroupCodecConfig {
-                radial: cfg.radial_optimized,
-                lanes: cfg.entropy_profile.sparse_lanes(),
-                th_phi: (2.0 * cfg.sensor.u_phi() / sq.angle_step()).round() as i64,
-                th_r: (cfg.th_r / sq.r_step()).round() as i64,
-            }
-        } else {
-            let qp = QuantParams::cartesian(cfg.q_xyz);
-            for line in lines {
-                let mut q = pool.pop().unwrap_or_default();
-                q.extend(line.iter().map(|&i| {
+        let qp = QuantParams::cartesian(self.config.q_xyz);
+        for line in lines {
+            let mut q = pool.pop().unwrap_or_default();
+            match sq {
+                Some(sq) => q.extend(line.iter().map(|&i| sq.quantize(scratch.g_sph[i as usize]))),
+                None => q.extend(line.iter().map(|&i| {
                     let p = scratch.g_cart[i as usize];
                     [
                         quantize(p.x, qp.step[0]),
                         quantize(p.y, qp.step[1]),
                         quantize(p.z, qp.step[2]),
                     ]
-                }));
-                out.push(q);
+                })),
             }
-            GroupCodecConfig {
-                radial: false,
-                lanes: cfg.entropy_profile.sparse_lanes(),
-                th_phi: 1,
-                th_r: 1,
-            }
+            out.push(q);
         }
     }
+}
+
+/// Directory metadata for one group: bounds of the points the *decoder* will
+/// reconstruct, from the decoder's own dequantizer over the quantized
+/// polylines (bit-identical `f64` values), so pruning on these bounds can
+/// never drop a matching point.
+fn group_meta(lines_q: &[Vec<[i64; 3]>], sq: Option<&SphericalQuant>, q_xyz: f64) -> GroupMeta {
+    let mut meta = GroupMeta { points: 0, aabb: None, r_min: f64::INFINITY, r_max: 0.0 };
+    for &q in lines_q.iter().flatten() {
+        let p = dequantize_point(q, sq, q_xyz);
+        meta.points += 1;
+        meta.aabb = Some(match meta.aabb {
+            Some(bb) => Aabb { min: bb.min.min(p), max: bb.max.max(p) },
+            None => Aabb { min: p, max: p },
+        });
+        let n = p.norm();
+        meta.r_min = meta.r_min.min(n);
+        meta.r_max = meta.r_max.max(n);
+    }
+    meta
 }

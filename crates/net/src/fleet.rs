@@ -7,15 +7,17 @@
 //! * **Sharded event loops.** [`FleetServer::spawn`] starts `shards` worker
 //!   threads; each owns a `FleetCore` — connections, per-tenant
 //!   `SessionServer`s ([`crate::server`]), and budgets for its shard — and
-//!   drains a bounded event queue. Sessions route to shards by a hash of
-//!   their id, so one tenant's state never migrates and per-tenant
-//!   processing stays in order.
+//!   drains a bounded event queue (1024 events). Sessions route to shards
+//!   by a hash of their id, so one tenant's state never migrates and
+//!   per-tenant processing stays in order.
 //! * **Push-based framing.** Connections don't get a blocking reader.
 //!   Transport bytes land in a per-connection feed buffer and a wakeup event
 //!   is queued; the shard pumps the connection's [`FrameReader`] until it
 //!   reports `WouldBlock` (feed empty). The reader keeps its full
 //!   resynchronization behaviour and its per-connection payload guard
-//!   ([`FleetConfig::max_payload`], default 8 MiB).
+//!   ([`FleetConfig::max_payload`], default 8 MiB). A feed holds at most
+//!   four default-size payloads plus a pre-hello replay; a writer that
+//!   would overfill it waits, and fails with `TimedOut` after two seconds.
 //! * **Admission control.** A fleet-wide session cap enforced with a single
 //!   atomic compare-and-swap: concurrent hellos on different shards can never
 //!   overshoot. A refused session gets a typed [`Control::Reject`] frame —
@@ -43,7 +45,10 @@
 //! Substituting gives the exactly-once invariant the fleet-chaos harness
 //! asserts: `intact == durable + deduped + gap_dropped + decode_failures +
 //! shed`, where durable = drained + resident. The fleet's shared `net.*`
-//! counters must also equal the sums over tenants.
+//! counters must also equal the sums over tenants. Fleet-level events
+//! (`fleet.admission_rejects`, `fleet.auth_rejects`, `fleet.shed_frames`,
+//! `fleet.prehello_frames`, `fleet.ack_drops`) are counted once, in the
+//! fleet's collector, and [`FleetReport`] reads them back from it.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -52,7 +57,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use dbgc_metrics::Collector;
+use dbgc_metrics::{Collector, Counter};
 
 use crate::fault::SplitMix64;
 use crate::pipeline::OverloadPolicy;
@@ -137,6 +142,20 @@ impl std::fmt::Debug for FleetAuth {
     }
 }
 
+/// Bound of each shard's event queue; senders block when it fills, so
+/// backpressure lands on clients, never on the loop.
+const EVENT_QUEUE: usize = 1024;
+
+/// Per-connection feed-buffer guard: a connection whose unparsed bytes would
+/// exceed this blocks its writer (and eventually times out), bounding memory
+/// against tenants that outrun their shard. Four default-size payloads plus
+/// a pre-hello replay fit.
+pub(crate) const FEED_CAP: usize = 4 * DEFAULT_MAX_PAYLOAD as usize + (64 << 10);
+
+/// How long an in-process writer may stall on a full feed before its write
+/// fails with `TimedOut` (the resilient client then reconnects).
+const WRITE_STALL: Duration = Duration::from_secs(2);
+
 /// Tuning for a [`FleetServer`].
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -155,16 +174,6 @@ pub struct FleetConfig {
     pub max_payload: u64,
     /// Decompress stored frames (the paper's non-bypass mode).
     pub decompress: bool,
-    /// Bound of each shard's event queue; senders block when it fills, so
-    /// backpressure lands on clients, never on the loop.
-    pub event_queue: usize,
-    /// Per-connection feed-buffer guard: a connection whose unparsed bytes
-    /// exceed this blocks its writer (and eventually times out), bounding
-    /// memory against tenants that outrun their shard.
-    pub feed_cap: usize,
-    /// How long an in-process writer may stall on a full feed before its
-    /// write fails with `TimedOut` (the resilient client then reconnects).
-    pub write_stall: Duration,
     /// Per-tenant auth table. `None` (the default) accepts any hello;
     /// `Some` requires a matching [`Control::HelloAuth`] token on every
     /// hello, over every transport.
@@ -183,9 +192,6 @@ impl FleetConfig {
             policy: OverloadPolicy::Block,
             max_payload: DEFAULT_MAX_PAYLOAD,
             decompress: false,
-            event_queue: 1024,
-            feed_cap: 4 * DEFAULT_MAX_PAYLOAD as usize + (64 << 10),
-            write_stall: Duration::from_secs(2),
             auth: None,
         }
     }
@@ -198,31 +204,33 @@ impl FleetConfig {
 }
 
 /// Fleet-wide state shared by every shard: the admission gate, the global
-/// byte budget, and counters mirrored into the metrics collector.
+/// byte budget, and handles on the collector's `fleet.*` event counters
+/// (each event is counted once, in the collector).
 struct FleetShared {
     sessions: AtomicUsize,
     sessions_peak: AtomicUsize,
     fleet_bytes: AtomicU64,
-    admission_rejects: AtomicU64,
-    auth_rejects: AtomicU64,
-    shed_frames: AtomicU64,
-    prehello_frames: AtomicU64,
-    ack_drops: AtomicU64,
+    admission_rejects: Counter,
+    auth_rejects: Counter,
+    shed_frames: Counter,
+    prehello_frames: Counter,
+    ack_drops: Counter,
     collector: Collector,
 }
 
 impl FleetShared {
     fn new() -> FleetShared {
+        let collector = Collector::new();
         FleetShared {
             sessions: AtomicUsize::new(0),
             sessions_peak: AtomicUsize::new(0),
             fleet_bytes: AtomicU64::new(0),
-            admission_rejects: AtomicU64::new(0),
-            auth_rejects: AtomicU64::new(0),
-            shed_frames: AtomicU64::new(0),
-            prehello_frames: AtomicU64::new(0),
-            ack_drops: AtomicU64::new(0),
-            collector: Collector::new(),
+            admission_rejects: collector.counter("fleet.admission_rejects"),
+            auth_rejects: collector.counter("fleet.auth_rejects"),
+            shed_frames: collector.counter("fleet.shed_frames"),
+            prehello_frames: collector.counter("fleet.prehello_frames"),
+            ack_drops: collector.counter("fleet.ack_drops"),
+            collector,
         }
     }
 
@@ -308,8 +316,7 @@ impl Write for AckSender {
             Ok(()) => Ok(()),
             Err(TrySendError::Full(_)) => {
                 // Shed the ack, keep the loop moving.
-                self.shared.ack_drops.fetch_add(1, Ordering::Relaxed);
-                self.shared.collector.incr("fleet.ack_drops", 1);
+                self.shared.ack_drops.add(1);
                 Ok(())
             }
             Err(TrySendError::Disconnected(_)) => {
@@ -363,14 +370,14 @@ impl Read for AckReceiver {
 
 /// The in-process client write half handed out by [`FleetHandle::connect`]:
 /// bytes go straight into the connection's feed buffer and a wakeup event is
-/// queued. Applies the feed-cap backpressure described on
-/// [`FleetConfig::feed_cap`]. Dropping it closes the connection cleanly.
+/// queued. A write that would push the feed past its cap (four default-size
+/// payloads plus a pre-hello replay) waits for the shard to parse, and fails
+/// with `TimedOut` after two seconds. Dropping it closes the connection
+/// cleanly.
 pub struct FleetConnTx {
     conn: u64,
     shard_tx: SyncSender<FleetEvent>,
     feed: Arc<Mutex<FeedShared>>,
-    feed_cap: usize,
-    write_stall: Duration,
 }
 
 impl FleetConnTx {
@@ -380,11 +387,6 @@ impl FleetConnTx {
     /// of parking a shared reader thread in `write`'s stall loop.
     pub(crate) fn feed_len(&self) -> usize {
         self.feed.lock().map(|f| f.buf.len()).unwrap_or(usize::MAX)
-    }
-
-    /// The feed-cap this connection was built with.
-    pub(crate) fn feed_cap(&self) -> usize {
-        self.feed_cap
     }
 }
 
@@ -397,14 +399,14 @@ impl Write for FleetConnTx {
                 if feed.server_closed {
                     return Err(io::Error::new(io::ErrorKind::BrokenPipe, "connection dropped"));
                 }
-                if feed.buf.len() + data.len() <= self.feed_cap {
+                if feed.buf.len() + data.len() <= FEED_CAP {
                     feed.buf.extend(data);
                     break;
                 }
             }
             // Over the feed cap: backpressure. A paused (Block-policy)
             // tenant parks here until a drain, bounded by the stall budget.
-            if start.elapsed() > self.write_stall {
+            if start.elapsed() > WRITE_STALL {
                 return Err(io::Error::new(io::ErrorKind::TimedOut, "feed full past stall budget"));
             }
             std::thread::sleep(Duration::from_micros(500));
@@ -744,8 +746,7 @@ impl FleetCore {
             match self.conns.get(&conn_id).and_then(|c| c.tenant) {
                 None => {
                     // Data before any hello: the fleet speaks sessions only.
-                    self.shared.prehello_frames.fetch_add(1, Ordering::Relaxed);
-                    self.shared.collector.incr("fleet.prehello_frames", 1);
+                    self.shared.prehello_frames.add(1);
                 }
                 Some(sid) => self.handle_data(conn_id, sid, wire),
             }
@@ -765,8 +766,7 @@ impl FleetCore {
         // never consume a session slot.
         if let Some(false) = self.config.auth.as_ref().map(|a| a.check(session_id, token.as_ref()))
         {
-            self.shared.auth_rejects.fetch_add(1, Ordering::Relaxed);
-            self.shared.collector.incr("fleet.auth_rejects", 1);
+            self.shared.auth_rejects.add(1);
             self.reject(conn_id, session_id, REJECT_BAD_AUTH);
             return;
         }
@@ -778,8 +778,7 @@ impl FleetCore {
         }
         if !self.tenants.contains_key(&session_id) {
             if !self.shared.try_admit(self.config.max_sessions) {
-                self.shared.admission_rejects.fetch_add(1, Ordering::Relaxed);
-                self.shared.collector.incr("fleet.admission_rejects", 1);
+                self.shared.admission_rejects.add(1);
                 self.reject(conn_id, session_id, REJECT_FLEET_FULL);
                 return;
             }
@@ -869,8 +868,7 @@ impl FleetCore {
         let Some(frame) = tenant.server.shed_stored(oldest) else { return false };
         tenant.resident_bytes = tenant.resident_bytes.saturating_sub(frame.bytes.len() as u64);
         shared.fleet_bytes.fetch_sub(frame.bytes.len() as u64, Ordering::SeqCst);
-        shared.shed_frames.fetch_add(1, Ordering::Relaxed);
-        shared.collector.incr("fleet.shed_frames", 1);
+        shared.shed_frames.add(1);
         tenant.shed_seqs.push(frame.sequence);
         true
     }
@@ -1007,13 +1005,7 @@ impl FleetHandle {
         self.txs[shard]
             .send(FleetEvent::Accept { conn, feed: Arc::clone(&feed), ack })
             .map_err(|_| io::Error::new(io::ErrorKind::ConnectionRefused, "fleet shut down"))?;
-        let tx = FleetConnTx {
-            conn,
-            shard_tx: self.txs[shard].clone(),
-            feed,
-            feed_cap: self.config.feed_cap,
-            write_stall: self.config.write_stall,
-        };
+        let tx = FleetConnTx { conn, shard_tx: self.txs[shard].clone(), feed };
         Ok((tx, AckReceiver { rx: ack_rx, cur: Vec::new(), pos: 0 }))
     }
 
@@ -1070,12 +1062,12 @@ impl FleetHandle {
 
     /// Hellos refused at the admission gate so far.
     pub fn admission_rejects(&self) -> u64 {
-        self.shared.admission_rejects.load(Ordering::Relaxed)
+        self.shared.admission_rejects.get()
     }
 
     /// Hellos refused for missing/wrong auth tokens so far.
     pub fn auth_rejects(&self) -> u64 {
-        self.shared.auth_rejects.load(Ordering::Relaxed)
+        self.shared.auth_rejects.get()
     }
 
     /// The fleet config this handle was built with.
@@ -1103,7 +1095,7 @@ impl FleetServer {
         let mut txs = Vec::with_capacity(config.shards.max(1));
         let mut workers = Vec::with_capacity(config.shards.max(1));
         for index in 0..config.shards.max(1) {
-            let (tx, rx) = sync_channel::<FleetEvent>(config.event_queue.max(1));
+            let (tx, rx) = sync_channel::<FleetEvent>(EVENT_QUEUE);
             txs.push(tx);
             let mut core = FleetCore::new(index, config.clone(), Arc::clone(&shared));
             let worker = std::thread::Builder::new()
@@ -1150,11 +1142,11 @@ impl FleetServer {
         FleetReport {
             tenants,
             sessions_peak: shared.sessions_peak.load(Ordering::SeqCst),
-            admission_rejects: shared.admission_rejects.load(Ordering::Relaxed),
-            auth_rejects: shared.auth_rejects.load(Ordering::Relaxed),
-            shed_frames: shared.shed_frames.load(Ordering::Relaxed),
-            prehello_frames: shared.prehello_frames.load(Ordering::Relaxed),
-            ack_drops: shared.ack_drops.load(Ordering::Relaxed),
+            admission_rejects: shared.admission_rejects.get(),
+            auth_rejects: shared.auth_rejects.get(),
+            shed_frames: shared.shed_frames.get(),
+            prehello_frames: shared.prehello_frames.get(),
+            ack_drops: shared.ack_drops.get(),
             counters,
         }
     }
@@ -1324,6 +1316,122 @@ mod tests {
         let mut all: Vec<u32> = t.durable.iter().chain(t.shed.iter()).copied().collect();
         all.sort_unstable();
         assert_eq!(all, (0..16).collect::<Vec<u32>>());
+        report.verify_partition().unwrap();
+    }
+
+    /// A fleet whose global budget holds `payloads` 64-byte payloads under
+    /// `policy`, and two tenant ids that live on its two different shards.
+    fn budget_fleet(policy: OverloadPolicy, payloads: u64) -> (FleetServer, [u64; 2]) {
+        let mut config = FleetConfig::new(4);
+        config.shards = 2;
+        config.max_fleet_bytes = payloads * 64;
+        config.policy = policy;
+        let b = (2..).find(|id| config.shard_of(*id) != config.shard_of(1)).expect("ids split");
+        (FleetServer::spawn(config), [1, b])
+    }
+
+    /// Connect as `sid` and send its hello.
+    fn open(handle: &FleetHandle, sid: u64) -> (FleetConnTx, AckReceiver) {
+        let (mut tx, acks) = handle.connect(sid).unwrap();
+        write_frame(&mut tx, &Control::Hello { session_id: sid, last_acked: 0 }.to_frame())
+            .unwrap();
+        (tx, acks)
+    }
+
+    /// Send 64-byte data frames numbered `seqs`.
+    fn send(tx: &mut FleetConnTx, seqs: std::ops::Range<u32>) {
+        for seq in seqs {
+            write_frame(tx, &WireFrame { sequence: seq, payload: vec![seq as u8; 64] }).unwrap();
+        }
+    }
+
+    /// The sequences a drain handed over for `sid`.
+    fn drained(drain: &[(u64, Vec<StoredFrame>)], sid: u64) -> Vec<u32> {
+        drain
+            .iter()
+            .filter(|(s, _)| *s == sid)
+            .flat_map(|(_, f)| f.iter().map(|f| f.sequence))
+            .collect()
+    }
+
+    /// `durable ∪ shed`, sorted.
+    fn outcomes(t: &TenantReport) -> Vec<u32> {
+        let mut all: Vec<u32> = t.durable.iter().chain(&t.shed).copied().collect();
+        all.sort_unstable();
+        all
+    }
+
+    #[test]
+    fn global_budget_block_pauses_the_storing_tenant_until_a_drain() {
+        let (fleet, [a, b]) = budget_fleet(OverloadPolicy::Block, 3);
+        let handle = fleet.handle();
+        let (mut tx_a, _acks_a) = open(&handle, a);
+        let (mut tx_b, _acks_b) = open(&handle, b);
+        // A's frame 3 takes the fleet past three payloads: A pauses with
+        // frame 4 in its feed. B's first frame stores, then B pauses too.
+        send(&mut tx_a, 0..5);
+        handle.sync();
+        send(&mut tx_b, 0..2);
+        handle.sync();
+        let first = handle.drain();
+        assert_eq!((drained(&first, a), drained(&first, b)), (vec![0, 1, 2, 3], vec![0]));
+        // The drain relieved the budget and resumed both feeds.
+        let second = handle.drain();
+        assert_eq!((drained(&second, a), drained(&second, b)), (vec![4], vec![1]));
+        drop((tx_a, tx_b));
+        let report = fleet.shutdown();
+        assert_eq!(report.shed_frames, 0, "Block never sheds");
+        assert_eq!(report.tenant(a).expect("a").durable, (0..5).collect::<Vec<u32>>());
+        assert_eq!(report.tenant(b).expect("b").durable, vec![0, 1]);
+        report.verify_partition().unwrap();
+    }
+
+    #[test]
+    fn global_budget_drop_oldest_sheds_and_accounts_every_frame() {
+        let (fleet, [a, b]) = budget_fleet(OverloadPolicy::DropOldest, 3);
+        let handle = fleet.handle();
+        let (mut tx_a, _acks_a) = open(&handle, a);
+        let (mut tx_b, _acks_b) = open(&handle, b);
+        send(&mut tx_a, 0..8);
+        handle.sync();
+        send(&mut tx_b, 0..8);
+        handle.sync();
+        drop((tx_a, tx_b));
+        let report = fleet.shutdown();
+        assert!(report.shed_frames > 0, "a three-payload budget must shed");
+        for sid in [a, b] {
+            let t = report.tenant(sid).expect("tenant admitted");
+            assert_eq!(outcomes(t), (0..8).collect::<Vec<u32>>(), "tenant {sid}");
+        }
+        let resident: usize =
+            report.tenants.iter().flat_map(|t| &t.resident_frames).map(|f| f.bytes.len()).sum();
+        assert!(resident <= 3 * 64, "{resident} bytes resident over the budget");
+        report.verify_partition().unwrap();
+    }
+
+    #[test]
+    fn global_budget_degrade_sheds_only_over_fair_share() {
+        // Four payloads across two tenants: a fair share is two.
+        let (fleet, [heavy, light]) = budget_fleet(OverloadPolicy::Degrade, 4);
+        let handle = fleet.handle();
+        let (mut tx_h, _acks_h) = open(&handle, heavy);
+        let (mut tx_l, _acks_l) = open(&handle, light);
+        send(&mut tx_l, 0..1);
+        handle.sync();
+        send(&mut tx_h, 0..8);
+        handle.sync();
+        // The fleet is over budget, but the light tenant holds only its
+        // fair share, so its frame is kept.
+        send(&mut tx_l, 1..2);
+        handle.sync();
+        drop((tx_h, tx_l));
+        let report = fleet.shutdown();
+        let h = report.tenant(heavy).expect("heavy");
+        let l = report.tenant(light).expect("light");
+        assert!(!h.shed.is_empty(), "the tenant over its share is decimated");
+        assert_eq!(outcomes(h), (0..8).collect::<Vec<u32>>());
+        assert_eq!((l.durable.clone(), l.shed.len()), (vec![0, 1], 0));
+        assert_eq!(report.shed_frames, h.shed.len() as u64);
         report.verify_partition().unwrap();
     }
 

@@ -51,8 +51,8 @@ pub use fleet_chaos::{
 pub use link::LinkModel;
 pub use pipeline::{OverloadPolicy, PipelinedCompressor};
 pub use protocol::{
-    auth_token_eq, frame_checksum, read_frame, write_frame, AuthToken, Control, FrameReader,
-    NetError, WireFrame, AUTH_TOKEN_LEN, DEFAULT_MAX_PAYLOAD, REJECT_BAD_AUTH, REJECT_FLEET_FULL,
+    auth_token_eq, frame_checksum, write_frame, AuthToken, Control, FrameReader, NetError,
+    WireFrame, AUTH_TOKEN_LEN, DEFAULT_MAX_PAYLOAD, REJECT_BAD_AUTH, REJECT_FLEET_FULL,
     REJECT_WRONG_SHARD,
 };
 pub use retry::{Backoff, RetryPolicy};

@@ -6,17 +6,22 @@
 //!
 //! All integers little-endian. The CRC-32 (IEEE) covers the sequence, the
 //! payload length, and the payload, so a flipped bit anywhere in a frame —
-//! including its header — is detected. Works over any `Read`/`Write`, so the
-//! same code drives TCP sockets, in-memory pipes, and files.
+//! including its header — is detected; it is `dbgc_codec::crc32`, the same
+//! checksum that guards a stream's index trailer. Works over any
+//! `Read`/`Write`, so the same code drives TCP sockets, in-memory pipes, and
+//! files.
 //!
-//! Corruption handling: [`read_frame`] fails fast with a typed error;
-//! [`FrameReader`] scans forward for the next verifiable frame so a stream
-//! survives corruption instead of desyncing — damaged frames are dropped and
-//! the skipped byte count reported to the caller.
+//! [`FrameReader`] is the one parser. It scans forward for the next
+//! verifiable frame, so a stream survives corruption instead of desyncing:
+//! damaged frames are dropped and the skipped byte count reported to the
+//! caller. Over a nonblocking transport it keeps its place across
+//! `WouldBlock`, so every byte is read from the transport once.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, Read, Write};
+
+use dbgc_codec::crc32::crc32_update;
 
 const WIRE_MAGIC: [u8; 4] = *b"DBGF";
 /// Default upper bound on a frame payload. A compressed LiDAR frame is
@@ -43,15 +48,6 @@ pub struct WireFrame {
 pub enum NetError {
     /// Underlying transport failure.
     Io(io::Error),
-    /// The stream does not start with the wire magic.
-    BadMagic,
-    /// A declared payload length exceeds the sanity limit.
-    OversizedFrame(u64),
-    /// The frame checksum does not match its contents.
-    ChecksumMismatch {
-        /// Sequence number as read from the (possibly corrupt) header.
-        sequence: u32,
-    },
     /// Clean end of stream between frames.
     Closed,
     /// A stalled peer exceeded its deadline: no acknowledgement progress
@@ -79,11 +75,6 @@ impl fmt::Display for NetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             NetError::Io(e) => write!(f, "I/O error: {e}"),
-            NetError::BadMagic => write!(f, "bad wire magic"),
-            NetError::OversizedFrame(n) => write!(f, "frame of {n} bytes exceeds limit"),
-            NetError::ChecksumMismatch { sequence } => {
-                write!(f, "checksum mismatch on frame {sequence}")
-            }
             NetError::Closed => write!(f, "connection closed"),
             NetError::Timeout => write!(f, "peer stalled past its deadline"),
             NetError::RetriesExhausted { attempts, last_error } => {
@@ -270,31 +261,6 @@ impl Control {
     }
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc32_table();
-
-fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
-    for &b in data {
-        crc = CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    crc
-}
-
 /// CRC-32 (IEEE) over a frame's sequence, payload length, and payload.
 pub fn frame_checksum(sequence: u32, payload: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFF_u32;
@@ -315,51 +281,6 @@ pub fn write_frame(w: &mut impl Write, frame: &WireFrame) -> Result<(), NetError
     Ok(())
 }
 
-/// Read one frame; returns [`NetError::Closed`] on a clean EOF at a frame
-/// boundary. Fails fast on corruption — see [`FrameReader`] for the
-/// skip-and-continue reader.
-pub fn read_frame(r: &mut impl Read) -> Result<WireFrame, NetError> {
-    read_frame_with_limit(r, DEFAULT_MAX_PAYLOAD)
-}
-
-/// [`read_frame`] with an explicit payload sanity bound.
-pub fn read_frame_with_limit(r: &mut impl Read, max_payload: u64) -> Result<WireFrame, NetError> {
-    let mut magic = [0u8; 4];
-    match r.read_exact(&mut magic) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Err(NetError::Closed),
-        Err(e) => return Err(e.into()),
-    }
-    if magic != WIRE_MAGIC {
-        return Err(NetError::BadMagic);
-    }
-    let mut buf4 = [0u8; 4];
-    r.read_exact(&mut buf4)?;
-    let sequence = u32::from_le_bytes(buf4);
-    let mut buf8 = [0u8; 8];
-    r.read_exact(&mut buf8)?;
-    let len = u64::from_le_bytes(buf8);
-    r.read_exact(&mut buf4)?;
-    let checksum = u32::from_le_bytes(buf4);
-    if len > max_payload {
-        return Err(NetError::OversizedFrame(len));
-    }
-    // Reservation is clamped; a corrupt length field only costs as many
-    // bytes as the stream actually delivers before the checksum fails.
-    let mut payload = Vec::with_capacity(len.min(1 << 16) as usize);
-    let got = r.take(len).read_to_end(&mut payload)?;
-    if got as u64 != len {
-        return Err(NetError::Io(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "stream ended mid-payload",
-        )));
-    }
-    if frame_checksum(sequence, &payload) != checksum {
-        return Err(NetError::ChecksumMismatch { sequence });
-    }
-    Ok(WireFrame { sequence, payload })
-}
-
 /// A stateful, resynchronizing frame reader with bounded memory.
 ///
 /// Discarded candidate bytes are kept in a pushback buffer and rescanned, so
@@ -376,7 +297,8 @@ pub struct FrameReader<R> {
     pending: VecDeque<u8>,
     /// `inner` reached end of stream; only `pending` remains.
     eof: bool,
-    /// Scratch for bulk reads from `inner`.
+    /// Scratch for bulk reads from `inner`, allocated once `inner` first
+    /// delivers bytes, so a reader whose transport stays silent holds none.
     chunk: Vec<u8>,
     /// Lifetime total of corrupt bytes discarded (includes trailing garbage
     /// that precedes end-of-stream, which no per-frame count can report).
@@ -384,6 +306,8 @@ pub struct FrameReader<R> {
 }
 
 const WIRE_HEADER_LEN: usize = 20; // magic + sequence + length + crc
+/// Size of [`FrameReader`]'s bulk-read scratch.
+const READ_CHUNK: usize = 16 << 10;
 
 impl<R: Read> FrameReader<R> {
     /// Wrap `inner` with the [`DEFAULT_MAX_PAYLOAD`] sanity bound.
@@ -393,7 +317,7 @@ impl<R: Read> FrameReader<R> {
             max_payload: DEFAULT_MAX_PAYLOAD,
             pending: VecDeque::new(),
             eof: false,
-            chunk: vec![0u8; 16 << 10],
+            chunk: Vec::new(),
             total_skipped: 0,
         }
     }
@@ -415,6 +339,11 @@ impl<R: Read> FrameReader<R> {
         self.total_skipped
     }
 
+    /// The transport.
+    pub(crate) fn get_ref(&self) -> &R {
+        &self.inner
+    }
+
     /// Consume the reader, returning the transport. Unscanned pushback bytes
     /// are dropped.
     pub fn into_inner(self) -> R {
@@ -426,14 +355,21 @@ impl<R: Read> FrameReader<R> {
         if self.eof {
             return Ok(false);
         }
+        // Until the transport first delivers, read through a small stack
+        // buffer: a reader whose transport stays silent holds no heap.
+        let mut probe = [0u8; 64];
         loop {
-            match self.inner.read(&mut self.chunk) {
+            let buf = if self.chunk.is_empty() { &mut probe[..] } else { &mut self.chunk[..] };
+            match self.inner.read(buf) {
                 Ok(0) => {
                     self.eof = true;
                     return Ok(false);
                 }
                 Ok(n) => {
-                    self.pending.extend(&self.chunk[..n]);
+                    self.pending.extend(&buf[..n]);
+                    if self.chunk.is_empty() {
+                        self.chunk = vec![0u8; READ_CHUNK];
+                    }
                     return Ok(true);
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -468,7 +404,9 @@ impl<R: Read> FrameReader<R> {
     ///
     /// Returns the frame plus the number of corrupt bytes discarded before
     /// it; [`NetError::Closed`] once the stream ends (possibly after
-    /// discarding trailing garbage). I/O errors other than EOF propagate.
+    /// discarding trailing garbage). I/O errors other than EOF propagate and
+    /// leave the reader where it was, so a nonblocking transport's
+    /// `WouldBlock` is retried by calling again once bytes arrive.
     pub fn next_frame(&mut self) -> Result<(WireFrame, u64), NetError> {
         let mut skipped = 0u64;
         loop {
@@ -535,17 +473,21 @@ mod tests {
         for f in &frames {
             write_frame(&mut buf, f).unwrap();
         }
-        let mut r = &buf[..];
+        let mut r = FrameReader::new(&buf[..]);
         for f in &frames {
-            assert_eq!(&read_frame(&mut r).unwrap(), f);
+            assert_eq!(r.next_frame().unwrap(), (f.clone(), 0));
         }
-        assert!(matches!(read_frame(&mut r), Err(NetError::Closed)));
+        assert!(matches!(r.next_frame(), Err(NetError::Closed)));
+        assert_eq!(r.bytes_skipped(), 0);
     }
 
     #[test]
     fn bad_magic_rejected() {
+        // Without the magic nothing is a frame: every byte is skipped.
         let buf = b"NOPE\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00";
-        assert!(matches!(read_frame(&mut &buf[..]), Err(NetError::BadMagic)));
+        let (got, skipped) = drain_reader(&buf[..]);
+        assert!(got.is_empty());
+        assert_eq!(skipped, buf.len() as u64);
     }
 
     #[test]
@@ -555,7 +497,14 @@ mod tests {
         buf.extend_from_slice(&0u32.to_le_bytes());
         buf.extend_from_slice(&u64::MAX.to_le_bytes());
         buf.extend_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(read_frame(&mut &buf[..]), Err(NetError::OversizedFrame(_))));
+        // A hostile length marks its magic as garbage: the reader neither
+        // waits for nor allocates the payload, and the frame behind the
+        // header is recovered.
+        let header_len = buf.len() as u64;
+        write_frame(&mut buf, &WireFrame { sequence: 4, payload: vec![1; 8] }).unwrap();
+        let (got, skipped) = drain_reader(&buf[..]);
+        assert_eq!(got, vec![(4, 8)]);
+        assert_eq!(skipped, header_len);
     }
 
     #[test]
@@ -564,10 +513,9 @@ mod tests {
         write_frame(&mut buf, &WireFrame { sequence: 3, payload: vec![0xAB; 64] }).unwrap();
         let payload_start = buf.len() - 64;
         buf[payload_start + 20] ^= 0x10;
-        assert!(matches!(
-            read_frame(&mut &buf[..]),
-            Err(NetError::ChecksumMismatch { sequence: 3 })
-        ));
+        let (got, skipped) = drain_reader(&buf[..]);
+        assert!(got.is_empty(), "a checksum failure drops the frame");
+        assert_eq!(skipped, buf.len() as u64);
     }
 
     #[test]
@@ -575,7 +523,9 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, &WireFrame { sequence: 3, payload: vec![0xAB; 64] }).unwrap();
         buf[5] ^= 0x01; // sequence field
-        assert!(matches!(read_frame(&mut &buf[..]), Err(NetError::ChecksumMismatch { .. })));
+        let (got, skipped) = drain_reader(&buf[..]);
+        assert!(got.is_empty(), "the CRC covers the header too");
+        assert_eq!(skipped, buf.len() as u64);
     }
 
     #[test]
@@ -623,7 +573,7 @@ mod tests {
     }
 
     /// A reader that returns at most one byte per call, exercising every
-    /// partial-read path in `read_frame`.
+    /// partial-read path in `FrameReader`.
     struct Dribble<'a>(&'a [u8]);
     impl std::io::Read for Dribble<'_> {
         fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
@@ -641,9 +591,9 @@ mod tests {
         let mut buf = Vec::new();
         let frame = WireFrame { sequence: 9, payload: (0..=255).collect() };
         write_frame(&mut buf, &frame).unwrap();
-        let mut r = Dribble(&buf);
-        assert_eq!(read_frame(&mut r).unwrap(), frame);
-        assert!(matches!(read_frame(&mut r), Err(NetError::Closed)));
+        let mut r = FrameReader::new(Dribble(&buf));
+        assert_eq!(r.next_frame().unwrap(), (frame, 0));
+        assert!(matches!(r.next_frame(), Err(NetError::Closed)));
     }
 
     #[test]
@@ -651,7 +601,21 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, &WireFrame { sequence: 1, payload: vec![7; 100] }).unwrap();
         buf.truncate(buf.len() - 10);
-        assert!(matches!(read_frame(&mut &buf[..]), Err(NetError::Io(_))));
+        // A clean end of stream mid-frame: the partial frame is skipped.
+        let (got, skipped) = drain_reader(&buf[..]);
+        assert!(got.is_empty());
+        assert_eq!(skipped, buf.len() as u64);
+        // A transport that fails mid-frame: its error is passed on.
+        struct Reset;
+        impl io::Read for Reset {
+            fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+                Err(io::ErrorKind::ConnectionReset.into())
+            }
+        }
+        match FrameReader::new((&buf[..]).chain(Reset)).next_frame() {
+            Err(NetError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::ConnectionReset),
+            other => panic!("expected the transport's error, got {other:?}"),
+        }
     }
 
     fn encode(frames: &[WireFrame]) -> Vec<u8> {
@@ -760,6 +724,27 @@ mod tests {
     }
 
     #[test]
+    fn frame_reader_holds_no_buffer_until_bytes_arrive() {
+        // An idle connection's reader must cost no read buffer, however
+        // often it is polled.
+        struct Silent;
+        impl io::Read for Silent {
+            fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+                Err(io::ErrorKind::WouldBlock.into())
+            }
+        }
+        let mut idle = FrameReader::new(Silent);
+        for _ in 0..3 {
+            assert!(matches!(idle.next_frame(), Err(NetError::Io(_))));
+        }
+        assert_eq!((idle.chunk.capacity(), idle.pending.capacity()), (0, 0));
+        let buf = encode(&[WireFrame { sequence: 2, payload: vec![6; 300] }]);
+        let mut r = FrameReader::new(&buf[..]);
+        assert_eq!(r.next_frame().unwrap().0.payload.len(), 300);
+        assert_eq!(r.chunk.len(), READ_CHUNK);
+    }
+
+    #[test]
     fn frame_reader_max_payload_knob() {
         let frame = WireFrame { sequence: 1, payload: vec![3; 2000] };
         let buf = encode(std::slice::from_ref(&frame));
@@ -783,7 +768,10 @@ mod tests {
         buf.extend_from_slice(&0u32.to_le_bytes());
         buf.extend_from_slice(&(DEFAULT_MAX_PAYLOAD + 1).to_le_bytes());
         buf.extend_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(read_frame(&mut &buf[..]), Err(NetError::OversizedFrame(_))));
+        let mut r = FrameReader::new(&buf[..]);
+        assert_eq!(r.max_payload(), DEFAULT_MAX_PAYLOAD);
+        assert!(matches!(r.next_frame(), Err(NetError::Closed)));
+        assert_eq!(r.bytes_skipped(), buf.len() as u64, "one byte past the bound is garbage");
     }
 
     #[test]
@@ -800,7 +788,7 @@ mod tests {
             // Survives the wire.
             let mut buf = Vec::new();
             write_frame(&mut buf, &frame).unwrap();
-            let back = read_frame(&mut &buf[..]).unwrap();
+            let (back, _) = FrameReader::new(&buf[..]).next_frame().unwrap();
             assert_eq!(Control::from_frame(&back), Some(c));
         }
         assert_eq!(Control::decode(&[]), None);

@@ -207,7 +207,7 @@ impl SessionServer {
 mod tests {
     use super::*;
     use crate::fleet::{FleetConfig, FleetServer};
-    use crate::protocol::read_frame;
+    use crate::protocol::FrameReader;
     use crate::session::{ResilientClient, SessionConfig};
     use dbgc::Dbgc;
     use dbgc_geom::Point3;
@@ -349,9 +349,9 @@ mod tests {
         );
         // One ack per step, all parseable, ending at next_expected = 2.
         let acks = acks.unwrap();
-        let mut r = &acks[..];
+        let mut r = FrameReader::new(&acks[..]);
         let mut seen = Vec::new();
-        while let Ok(frame) = read_frame(&mut r) {
+        while let Ok((frame, _)) = r.next_frame() {
             match Control::from_frame(&frame) {
                 Some(Control::Ack { session_id, next_expected }) => {
                     assert_eq!(session_id, session);
@@ -361,6 +361,7 @@ mod tests {
             }
         }
         assert_eq!(seen, vec![0, 1, 2, 2, 2]);
+        assert_eq!(r.bytes_skipped(), 0, "every ack byte belongs to a frame");
     }
 
     #[test]

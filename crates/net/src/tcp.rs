@@ -5,21 +5,24 @@
 //! edge never parses past the first hello. Its only jobs are:
 //!
 //! * **Accept + route.** A single acceptor thread owns the listener and
-//!   every pre-hello connection (nonblocking, polled). It buffers bytes
-//!   until a complete [`Control::Hello`]/[`Control::HelloAuth`] frame can be
-//!   scanned out, then registers the connection with the owning shard via
-//!   [`FleetHandle::connect`] and replays the *entire* buffered byte stream
-//!   into the feed — garbage before the hello reaches the core exactly as
-//!   it would in-process (resync counters included), and auth is enforced
-//!   by the core, not the edge, so both transports share one reject path.
+//!   every pre-hello connection (nonblocking, polled). Each pending
+//!   connection has one [`FrameReader`] for its life, reading the socket
+//!   through a tee that keeps every byte; the reader keeps its place across
+//!   polls, so each received byte is read once. At the first complete
+//!   [`Control::Hello`]/[`Control::HelloAuth`] the acceptor registers the
+//!   connection with the owning shard via [`FleetHandle::connect`] and
+//!   replays the *entire* kept byte stream into the feed — garbage before
+//!   the hello reaches the core exactly as it would in-process (resync
+//!   counters included), and auth is enforced by the core, not the edge,
+//!   so both transports share one reject path.
 //! * **Thread-per-shard readiness loop.** Routed connections move to their
 //!   shard's reader thread, which polls nonblocking sockets: socket bytes →
 //!   feed (+ wakeup event), queued acks/rejects → socket. No per-connection
 //!   threads, no mio/tokio — `std` only.
 //! * **Deadlines and reaping.** A connection that does not complete its
 //!   hello within [`TcpTuning::hello_deadline`] (truncated hello, pure
-//!   garbage, one-byte-per-50 ms trickle), buffers more than
-//!   [`TcpTuning::prehello_cap`] pre-hello bytes, or goes byte-silent past
+//!   garbage, one-byte-per-50 ms trickle), needs more than
+//!   [`TcpTuning::prehello_cap`] bytes to show one, or goes byte-silent past
 //!   [`TcpTuning::idle_deadline`] is *reaped*: socket shut down, fleet-side
 //!   connection closed, `fleet.conns_reaped` bumped. Reaping never touches
 //!   tenant state — a reaped tenant reconnects and go-back-N replays.
@@ -43,7 +46,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::fleet::{AckReceiver, FleetConfig, FleetConnTx, FleetHandle, FleetReport, FleetServer};
+use dbgc_metrics::{Collector, Counter};
+
+use crate::fleet::{
+    AckReceiver, FleetConfig, FleetConnTx, FleetHandle, FleetReport, FleetServer, FEED_CAP,
+};
 use crate::protocol::{Control, FrameReader, NetError};
 use crate::server::StoredFrame;
 
@@ -56,7 +63,8 @@ pub struct TcpTuning {
     /// Reap an established connection after this long without a byte. A
     /// feed-backpressured connection counts as active (the stall is ours).
     pub idle_deadline: Duration,
-    /// Pre-hello buffer cap; a peer exceeding it without a hello is reaped.
+    /// Pre-hello byte cap: a peer whose first `prehello_cap` bytes hold no
+    /// complete hello is reaped.
     pub prehello_cap: usize,
     /// Per-connection pending-ack byte cap; beyond it acks are left queued
     /// (and eventually shed by the fleet's bounded ack channel).
@@ -94,38 +102,80 @@ impl TcpTuning {
     }
 }
 
-/// Edge-level connection counters, shared by the acceptor and every shard
-/// reader thread (the fleet report carries the final values).
-#[derive(Debug, Default)]
+/// Edge-level connection ledger, shared by the acceptor and every shard
+/// reader thread. Accepts and reaps are the fleet collector's counters, read
+/// back for the reports; the open count is kept here because it also goes
+/// down, and it feeds the `fleet.conns_open` gauge.
+#[derive(Debug)]
 struct EdgeStats {
-    accepted: AtomicU64,
     open: AtomicU64,
-    reaped: AtomicU64,
+    accepted: Counter,
+    reaped: Counter,
+    metrics: Collector,
 }
 
 impl EdgeStats {
-    fn opened(&self, handle: &FleetHandle) {
-        self.accepted.fetch_add(1, Ordering::Relaxed);
-        let now = self.open.fetch_add(1, Ordering::Relaxed) + 1;
-        handle.metrics().incr("fleet.conns_accepted", 1);
-        handle.metrics().set_gauge("fleet.conns_open", now as f64);
+    fn new(metrics: &Collector) -> EdgeStats {
+        EdgeStats {
+            open: AtomicU64::new(0),
+            accepted: metrics.counter("fleet.conns_accepted"),
+            reaped: metrics.counter("fleet.conns_reaped"),
+            metrics: metrics.clone(),
+        }
     }
 
-    fn closed(&self, handle: &FleetHandle, reaped: bool) {
+    fn opened(&self) {
+        self.accepted.add(1);
+        let now = self.open.fetch_add(1, Ordering::Relaxed) + 1;
+        self.metrics.set_gauge("fleet.conns_open", now as f64);
+    }
+
+    fn closed(&self, reaped: bool) {
         let now = self.open.fetch_sub(1, Ordering::Relaxed).saturating_sub(1);
-        handle.metrics().set_gauge("fleet.conns_open", now as f64);
+        self.metrics.set_gauge("fleet.conns_open", now as f64);
         if reaped {
-            self.reaped.fetch_add(1, Ordering::Relaxed);
-            handle.metrics().incr("fleet.conns_reaped", 1);
+            self.reaped.add(1);
         }
     }
 }
 
-/// A connection still waiting for its hello, owned by the acceptor.
-struct Pending {
-    stream: TcpStream,
-    buf: Vec<u8>,
+/// A pending connection's socket as its [`FrameReader`] sees it: every byte
+/// read is kept for the replay into the fleet feed, and reading stops at the
+/// pre-hello cap.
+struct Tee<S> {
+    stream: S,
+    seen: Vec<u8>,
+    cap: usize,
+}
+
+impl<S: Read> Read for Tee<S> {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        let room = self.cap.saturating_sub(self.seen.len());
+        if room == 0 {
+            return Err(io::Error::other("pre-hello cap reached"));
+        }
+        let want = room.min(out.len());
+        let n = self.stream.read(&mut out[..want])?;
+        self.seen.extend_from_slice(&out[..n]);
+        Ok(n)
+    }
+}
+
+/// A connection still waiting for its hello, owned by the acceptor. Its one
+/// reader keeps its place between polls, so each received byte is read once.
+struct Pending<S = TcpStream> {
+    reader: FrameReader<Tee<S>>,
     accepted_at: Instant,
+}
+
+impl<S: Read> Pending<S> {
+    fn new(stream: S, prehello_cap: usize, max_payload: u64) -> Pending<S> {
+        let tee = Tee { stream, seen: Vec::new(), cap: prehello_cap };
+        Pending {
+            reader: FrameReader::new(tee).with_max_payload(max_payload),
+            accepted_at: Instant::now(),
+        }
+    }
 }
 
 /// A routed connection, owned by its shard's reader thread.
@@ -172,66 +222,50 @@ impl EdgeConn {
     }
 }
 
-/// Scan a pre-hello buffer for the first complete hello frame; returns its
-/// session id. Scans a *fresh* reader over the bytes every call, so partial
-/// frames are never consumed — they complete on a later call.
-fn scan_for_hello(buf: &[u8], max_payload: u64) -> Option<u64> {
-    let mut reader = FrameReader::new(buf).with_max_payload(max_payload);
-    loop {
-        match reader.next_frame() {
-            Ok((frame, _)) => match Control::from_frame(&frame) {
-                Some(Control::Hello { session_id, .. })
-                | Some(Control::HelloAuth { session_id, .. }) => return Some(session_id),
-                // Data or server-bound control before the hello: the core
-                // will account it (prehello/noise) once the stream is fed.
-                _ => continue,
-            },
-            // Everything else means "no complete hello yet": the reader
-            // resyncs internally, so errors here are end-of-buffer states.
-            Err(NetError::Closed) | Err(_) => return None,
-        }
-    }
-}
-
 /// What the acceptor decided about a pending connection this poll.
+#[derive(Debug, PartialEq)]
 enum PendingStep {
     Keep,
     Route(u64),
     Close { reaped: bool },
 }
 
-fn poll_pending(
-    p: &mut Pending,
+/// Read what the peer has sent so far, up to its first hello.
+fn poll_pending<S: Read>(
+    p: &mut Pending<S>,
     tuning: &TcpTuning,
-    max_payload: u64,
     progress: &mut bool,
 ) -> PendingStep {
-    let mut tmp = [0u8; 4096];
-    loop {
-        match p.stream.read(&mut tmp) {
-            Ok(0) => return PendingStep::Close { reaped: false },
-            Ok(n) => {
-                *progress = true;
-                p.buf.extend_from_slice(&tmp[..n]);
-                if let Some(sid) = scan_for_hello(&p.buf, max_payload) {
-                    return PendingStep::Route(sid);
+    let before = p.reader.get_ref().seen.len();
+    let step = loop {
+        match p.reader.next_frame() {
+            Ok((frame, _)) => match Control::from_frame(&frame) {
+                Some(Control::Hello { session_id, .. })
+                | Some(Control::HelloAuth { session_id, .. }) => {
+                    break PendingStep::Route(session_id)
                 }
-                if p.buf.len() > tuning.prehello_cap {
-                    // Garbage (or data frames) without a hello: bounded, out.
-                    return PendingStep::Close { reaped: true };
-                }
+                // Data or server-bound control before the hello: the core
+                // will account it (prehello/noise) once the stream is fed.
+                _ => continue,
+            },
+            Err(NetError::Io(e)) if e.kind() == io::ErrorKind::WouldBlock => {
+                break PendingStep::Keep
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return PendingStep::Close { reaped: false },
+            // The cap stopped the reader with no hello in sight: bounded, out.
+            Err(_) if p.reader.get_ref().seen.len() >= tuning.prehello_cap => {
+                break PendingStep::Close { reaped: true }
+            }
+            // The peer left (EOF) or the socket failed.
+            Err(_) => break PendingStep::Close { reaped: false },
         }
-    }
-    if p.accepted_at.elapsed() > tuning.hello_deadline {
+    };
+    *progress |= p.reader.get_ref().seen.len() > before;
+    if step == PendingStep::Keep && p.accepted_at.elapsed() > tuning.hello_deadline {
         // Truncated hello, pure garbage, or a byte-trickle slow-loris: the
         // absolute deadline reaps them all.
         return PendingStep::Close { reaped: true };
     }
-    PendingStep::Keep
+    step
 }
 
 fn acceptor_loop(
@@ -250,8 +284,8 @@ fn acceptor_loop(
             Ok((stream, _peer)) => {
                 let _ = stream.set_nonblocking(true);
                 let _ = stream.set_nodelay(true);
-                stats.opened(&handle);
-                pending.push(Pending { stream, buf: Vec::new(), accepted_at: Instant::now() });
+                stats.opened();
+                pending.push(Pending::new(stream, tuning.prehello_cap, max_payload));
                 progress = true;
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
@@ -261,12 +295,12 @@ fn acceptor_loop(
         }
         let mut i = 0;
         while i < pending.len() {
-            match poll_pending(&mut pending[i], &tuning, max_payload, &mut progress) {
+            match poll_pending(&mut pending[i], &tuning, &mut progress) {
                 PendingStep::Keep => i += 1,
                 PendingStep::Close { reaped } => {
                     let p = pending.swap_remove(i);
-                    let _ = p.stream.shutdown(Shutdown::Both);
-                    stats.closed(&handle, reaped);
+                    let _ = p.reader.get_ref().stream.shutdown(Shutdown::Both);
+                    stats.closed(reaped);
                 }
                 PendingStep::Route(sid) => {
                     let p = pending.swap_remove(i);
@@ -280,8 +314,8 @@ fn acceptor_loop(
     }
     // Stop accepting: pre-hello stragglers are cut, not drained.
     for p in pending {
-        let _ = p.stream.shutdown(Shutdown::Both);
-        stats.closed(&handle, false);
+        let _ = p.reader.get_ref().stream.shutdown(Shutdown::Both);
+        stats.closed(false);
     }
 }
 
@@ -294,22 +328,23 @@ fn route(
     reader_txs: &[Sender<EdgeConn>],
     stats: &Arc<EdgeStats>,
 ) {
+    let Tee { stream, seen, .. } = p.reader.into_inner();
     let shard = handle.config().shard_of(session_id);
     let Ok((mut tx, acks)) = handle.connect(session_id) else {
         // Fleet already shut down.
-        let _ = p.stream.shutdown(Shutdown::Both);
-        stats.closed(handle, false);
+        let _ = stream.shutdown(Shutdown::Both);
+        stats.closed(false);
         return;
     };
     // The pre-hello buffer is capped far below the feed cap, so this write
     // cannot enter the stall loop.
-    if tx.write_all(&p.buf).is_err() {
-        let _ = p.stream.shutdown(Shutdown::Both);
-        stats.closed(handle, false);
+    if tx.write_all(&seen).is_err() {
+        let _ = stream.shutdown(Shutdown::Both);
+        stats.closed(false);
         return;
     }
     let conn = EdgeConn {
-        stream: p.stream,
+        stream,
         tx: Some(tx),
         acks,
         write_buf: VecDeque::new(),
@@ -320,13 +355,12 @@ fn route(
         // Readers drain their channel until the acceptor exits, so this
         // only happens if the reader thread died. The dropped connection
         // closed its fleet side and socket; count the close.
-        stats.closed(handle, false);
+        stats.closed(false);
     }
 }
 
 fn reader_loop(
     rx: Receiver<EdgeConn>,
-    handle: FleetHandle,
     stats: Arc<EdgeStats>,
     tuning: TcpTuning,
     stop: Arc<AtomicBool>,
@@ -347,7 +381,7 @@ fn reader_loop(
                     let mut c = conns.swap_remove(i);
                     drop(c.tx.take()); // fleet-side Close event
                     let _ = c.stream.shutdown(Shutdown::Both);
-                    stats.closed(&handle, reaped);
+                    stats.closed(reaped);
                 }
             }
         }
@@ -382,7 +416,7 @@ fn reader_loop(
         }
         drop(c.tx.take());
         let _ = c.stream.shutdown(Shutdown::Both);
-        stats.closed(&handle, false);
+        stats.closed(false);
     }
 }
 
@@ -408,7 +442,7 @@ fn step_conn(
         return ConnStep::Close { reaped: false };
     }
     let Some(tx) = c.tx.as_mut() else { return ConnStep::Close { reaped: false } };
-    if tx.feed_len() + tmp.len() > tx.feed_cap() {
+    if tx.feed_len() + tmp.len() > FEED_CAP {
         // Feed backpressure: stop reading, let the kernel buffer fill. Not
         // the peer's fault, so the idle clock does not run.
         c.last_activity = Instant::now();
@@ -485,19 +519,18 @@ impl TcpFleetServer {
         let fleet = FleetServer::spawn(config);
         let handle = fleet.handle();
         let stop = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(EdgeStats::default());
+        let stats = Arc::new(EdgeStats::new(handle.metrics()));
         let shards = handle.config().shards.max(1);
         let mut reader_txs = Vec::with_capacity(shards);
         let mut readers = Vec::with_capacity(shards);
         for index in 0..shards {
             let (tx, rx) = channel::<EdgeConn>();
             reader_txs.push(tx);
-            let (h, s, t, st) =
-                (handle.clone(), Arc::clone(&stats), tuning.clone(), Arc::clone(&stop));
+            let (s, t, st) = (Arc::clone(&stats), tuning.clone(), Arc::clone(&stop));
             readers.push(
                 std::thread::Builder::new()
                     .name(format!("dbgc-tcp-shard-{index}"))
-                    .spawn(move || reader_loop(rx, h, s, t, st))
+                    .spawn(move || reader_loop(rx, s, t, st))
                     .map_err(io::Error::other)?,
             );
         }
@@ -527,12 +560,12 @@ impl TcpFleetServer {
 
     /// Connections reaped so far (deadline/buffer violations).
     pub fn conns_reaped(&self) -> u64 {
-        self.stats.reaped.load(Ordering::Relaxed)
+        self.stats.reaped.get()
     }
 
     /// Connections accepted so far.
     pub fn conns_accepted(&self) -> u64 {
-        self.stats.accepted.load(Ordering::Relaxed)
+        self.stats.accepted.get()
     }
 
     /// Graceful shutdown: stop accepting, flush pending acks, close every
@@ -552,8 +585,8 @@ impl TcpFleetServer {
         TcpFleetReport {
             fleet,
             drained,
-            conns_accepted: self.stats.accepted.load(Ordering::Relaxed),
-            conns_reaped: self.stats.reaped.load(Ordering::Relaxed),
+            conns_accepted: self.stats.accepted.get(),
+            conns_reaped: self.stats.reaped.get(),
             conns_open: self.stats.open.load(Ordering::Relaxed),
         }
     }
@@ -646,7 +679,7 @@ pub fn connect_with_deadline(addr: SocketAddr, deadline: Duration) -> io::Result
 mod tests {
     use super::*;
     use crate::fleet::FleetAuth;
-    use crate::protocol::{write_frame, WireFrame, REJECT_BAD_AUTH};
+    use crate::protocol::{write_frame, WireFrame, DEFAULT_MAX_PAYLOAD, REJECT_BAD_AUTH};
     use crate::session::{ResilientClient, SessionConfig};
 
     fn spawn_fast(config: FleetConfig) -> TcpFleetServer {
@@ -778,6 +811,57 @@ mod tests {
         );
     }
 
+    /// A nonblocking transport that hands out `data` one byte per read,
+    /// with a `WouldBlock` after each byte: the slowest trickle a socket can
+    /// deliver. `pulled` counts the bytes handed out.
+    struct Trickle {
+        data: Vec<u8>,
+        pulled: usize,
+        ready: bool,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            self.ready = !self.ready;
+            if !self.ready || self.pulled == self.data.len() {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            out[0] = self.data[self.pulled];
+            self.pulled += 1;
+            Ok(1)
+        }
+    }
+
+    #[test]
+    fn prehello_scan_reads_each_byte_once() {
+        // 64 KiB of garbage without the wire magic, then a hello, one byte
+        // per poll. A rescan of the whole buffer after every read would pull
+        // about 2 GB through the reader for this input.
+        let garbage: Vec<u8> = (0..64usize << 10).map(|i| i as u8).collect();
+        assert!(!garbage.windows(4).any(|w| w == b"DBGF"));
+        let mut data = garbage;
+        write_frame(&mut data, &Control::Hello { session_id: 8, last_acked: 0 }.to_frame())
+            .expect("encode");
+        let tuning = TcpTuning { prehello_cap: 128 << 10, ..TcpTuning::default() };
+        let trickle = Trickle { data: data.clone(), pulled: 0, ready: false };
+        let mut pending = Pending::new(trickle, tuning.prehello_cap, DEFAULT_MAX_PAYLOAD);
+        let mut polls = 0;
+        let step = loop {
+            polls += 1;
+            let mut progress = false;
+            match poll_pending(&mut pending, &tuning, &mut progress) {
+                PendingStep::Keep => assert!(progress, "poll {polls} read nothing"),
+                step => break step,
+            }
+        };
+        assert_eq!(step, PendingStep::Route(8), "the hello behind the garbage routes");
+        assert_eq!(polls, data.len(), "one byte per poll");
+        assert_eq!(pending.reader.bytes_skipped(), 64 << 10, "each garbage byte skipped once");
+        let tee = pending.reader.into_inner();
+        assert_eq!(tee.stream.pulled, data.len(), "each byte pulled from the transport once");
+        assert_eq!(tee.seen, data, "the replay holds every byte, garbage included");
+    }
+
     #[test]
     fn idle_deadline_reaps_half_open_peer_without_touching_neighbors() {
         let mut config = FleetConfig::new(8);
@@ -828,8 +912,8 @@ mod tests {
         write_frame(&mut peer, &WireFrame { sequence: 0, payload: b"pt".to_vec() }).expect("frame");
         let (stream, _) = accept_with_deadline(&listener, deadline).expect("accept");
         stream.set_nonblocking(true).expect("nonblocking, as the acceptor sets it");
-        let stats = Arc::new(EdgeStats::default());
-        stats.opened(&handle);
+        let stats = Arc::new(EdgeStats::new(handle.metrics()));
+        stats.opened();
         let (tx, acks) = handle.connect(1).expect("fleet connect");
         let (route, rx) = channel();
         let conn = EdgeConn {
@@ -843,7 +927,7 @@ mod tests {
         route.send(conn).expect("reader channel open");
         drop(route); // the acceptor exits
         let stop = Arc::new(AtomicBool::new(true)); // the reader never polls again
-        reader_loop(rx, handle, Arc::clone(&stats), TcpTuning::fast_test(), stop);
+        reader_loop(rx, Arc::clone(&stats), TcpTuning::fast_test(), stop);
         assert_eq!(stats.open.load(Ordering::Relaxed), 0, "routed connection left open");
         drop(peer);
         let report = fleet.shutdown();
