@@ -1,6 +1,7 @@
 //! Criterion micro-benches for the single-core hot-path kernels: the fused
-//! Fenwick model step, range-coder renormalization, and the SoA sparse-stage
-//! loops (organize grid + consensus-windowed radial coding).
+//! Fenwick model step, range-coder renormalization, the SoA sparse-stage
+//! loops (organize grid + consensus-windowed radial coding), and the
+//! sorted-key density split (DEN) on one simulator frame.
 //!
 //! Besides the human-readable criterion output, a compact second pass writes
 //! `BENCH_kernels.json` (dbgc-metrics v1 snapshot) to the repo root so CI can
@@ -11,6 +12,7 @@ use std::time::Instant;
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
 use dbgc::sparse::organize::{organize_sparse_points_with, OrganizeScratch};
 use dbgc::sparse::radial::{encode_radial_into, RadialStreams};
+use dbgc_clustering::{approx_cluster, ClusterParams};
 use dbgc_codec::{
     bitpack_decode, bitpack_encode, delta_decode, delta_encode, AdaptiveModel, ContextModel,
     LanedDecoder, LanedEncoder, RangeEncoder,
@@ -127,6 +129,13 @@ fn ring_lines(rings: usize, per_ring: usize) -> Vec<Vec<[i64; 3]>> {
         .collect()
 }
 
+/// The DEN input: one fixed kitti-city frame (scene layout 0, position 0)
+/// and the encoder's default split parameters at q = 2 cm.
+fn den_frame() -> (Vec<Point3>, ClusterParams) {
+    let cloud = dbgc_lidar_sim::frame(dbgc_lidar_sim::ScenePreset::KittiCity, 0, 0);
+    (cloud.points().to_vec(), dbgc::DbgcConfig::with_error_bound(0.02).cluster_params())
+}
+
 const MODEL_SYMS: usize = 1 << 16;
 const RENORM_VALS: usize = 1 << 15;
 const RINGS: usize = 64;
@@ -216,6 +225,18 @@ fn bench_sparse(c: &mut Criterion) {
     g.finish();
 }
 
+/// The approximate density split, serial (`threads = 1`), as the
+/// compressor runs it on one core.
+fn bench_clustering(c: &mut Criterion) {
+    let mut g = c.benchmark_group("clustering");
+    let (points, params) = den_frame();
+    g.throughput(Throughput::Elements(points.len() as u64));
+    g.bench_function("approx", |b| {
+        b.iter(|| black_box(approx_cluster(&points, params, 1).dense.len()));
+    });
+    g.finish();
+}
+
 /// Mean seconds per call over an adaptively sized batch (quiet pass for the
 /// JSON snapshot; criterion's printed numbers come from the groups above).
 fn secs_per_call<F: FnMut()>(mut f: F) -> f64 {
@@ -299,6 +320,12 @@ fn write_snapshot() {
     });
     collector.set_gauge("sparse.radial_encode.melem_per_s", points as f64 / s / 1e6);
 
+    let (points, params) = den_frame();
+    let s = secs_per_call(|| {
+        black_box(approx_cluster(&points, params, 1).dense.len());
+    });
+    collector.set_gauge("clustering.approx.melem_per_s", points.len() as f64 / s / 1e6);
+
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     match std::fs::write(root.join("BENCH_kernels.json"), collector.snapshot().to_json()) {
         Ok(()) => println!("wrote BENCH_kernels.json"),
@@ -312,5 +339,6 @@ fn main() {
     bench_range(&mut c);
     bench_bitpack(&mut c);
     bench_sparse(&mut c);
+    bench_clustering(&mut c);
     write_snapshot();
 }

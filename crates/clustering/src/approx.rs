@@ -11,23 +11,36 @@
 //!
 //! Two implementations share the passes above:
 //!
-//! * the **packed** fast path keys cells by a single `u64` (three 21-bit
-//!   biased fields), so per-point keys compute in parallel chunks, the count
-//!   map builds from per-shard maps merged by summation (order-independent,
-//!   hence deterministic for any thread count), and a cell's 27 neighbours
-//!   are 27 wrapping adds instead of 27 tuple constructions;
-//! * the **cell-tuple** path is the original formulation, kept both as the
-//!   fallback for clouds whose cell coordinates overflow the packed range
-//!   (beyond ±2²⁰ cells ≈ ±200 km at ε = 0.2 m) and as the scalar reference
-//!   the equivalence tests compare against.
+//! * the **sorted-key** fast path packs each point's cell into one `u64`
+//!   (per axis: the cell coordinate minus the frame's smallest, plus one, in
+//!   the fewest bits that also hold one guard value on each side), radix
+//!   sorts the `(key, point)` pairs and counts runs, so every occupied cell
+//!   gets a dense index. Keys order cells by `(x, y, z)`, so a cell's
+//!   3×3×3 block is nine rows of three consecutive keys, and because the
+//!   guards keep every neighbour key in range, each row's first key is the
+//!   cell's key plus a constant. The density sum therefore walks the sorted
+//!   cell list with nine pointers that only move forward, one per `(dx, dy)`
+//!   row, and the one-ring dilation walks the dense cells the same way,
+//!   marking their blocks; each point then reads its verdict through its
+//!   cell's index. No pass hashes;
+//! * the **cell-tuple** path is the original hash-grid formulation, kept
+//!   both as the fallback for clouds whose three fields need more than 64
+//!   bits (a span beyond ~2²¹ cells on every axis, or a coordinate beyond
+//!   the `i64` cell range) or that hold a non-finite coordinate, and as the
+//!   scalar reference the equivalence tests compare against.
 //!
-//! Every pass is a pure function of the point set, so the resulting
-//! [`DensitySplit`] — and therefore the compressed bitstream — is identical
-//! across implementations and thread counts.
+//! `threads` fans out the key pass, both walks (over cell ranges whose nine
+//! pointers are seeded by binary search) and the classification. Every pass
+//! is a pure function of the point set, so the resulting [`DensitySplit`] —
+//! and therefore the compressed bitstream — is identical across
+//! implementations and thread counts.
 
-use dbgc_geom::{FxHashMap, FxHashSet, Point3};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 
-use crate::grid::{Cell, UniformGrid};
+use dbgc_geom::{radix_sort, FxHashMap, FxHashSet, Point3};
+
+use crate::grid::{block, Cell, UniformGrid};
 use crate::params::ClusterParams;
 use crate::DensitySplit;
 
@@ -38,16 +51,10 @@ use crate::DensitySplit;
 /// identical (§4.3's claim), instead of the approximation over-marking.
 const BOX_TO_BALL: f64 = 9.0 / std::f64::consts::PI;
 
-/// Bits per packed cell field.
-const FIELD: u32 = 21;
-/// Bias making packed fields non-negative.
-const BIAS: i64 = 1 << (FIELD - 1);
-/// Largest biased field value the pack accepts; the boundary values are
-/// rejected so a ±1 neighbour offset can never borrow into the next field.
-const FIELD_MAX: i64 = (1 << FIELD) - 2;
-/// Sentinel for a cell outside the packed range (never a valid key: valid
-/// keys have bit 63 clear and no all-ones field).
-const INVALID_KEY: u64 = u64::MAX;
+/// Cells per work item of the two walks: each item seeds its nine pointers
+/// with a binary search, so items stay cheap to start while a frame's
+/// ~10⁴–10⁵ cells still spread over the pool.
+const WALK_CHUNK: usize = 256;
 
 /// Run the approximate clustering on `threads` (`0` = current pool, `1` =
 /// inline serial, `n > 1` = grow the pool), mirroring `DbgcConfig::threads`.
@@ -57,103 +64,192 @@ pub fn approx_cluster(points: &[Point3], params: ClusterParams, threads: usize) 
         eps: params.eps,
         min_pts: ((params.min_pts as f64 * BOX_TO_BALL).round() as usize).max(1),
     };
-    let keys = dbgc_parallel::map(threads, points, |_, &p| pack_cell(p, params.eps));
-    if keys.contains(&INVALID_KEY) {
-        return approx_cells(points, params, threads);
+    match KeyLayout::for_points(points, params.eps) {
+        Some(layout) => approx_sorted(points, layout, params, threads),
+        None => approx_cells(points, params, threads),
     }
-    approx_packed(&keys, params.min_pts, threads)
 }
 
-/// Pack the cell of `p` into one `u64` (x, y, z as biased 21-bit fields),
-/// or [`INVALID_KEY`] when a coordinate falls outside the packable range.
-#[inline]
-fn pack_cell(p: Point3, side: f64) -> u64 {
-    let cx = (p.x / side).floor() as i64 + BIAS;
-    let cy = (p.y / side).floor() as i64 + BIAS;
-    let cz = (p.z / side).floor() as i64 + BIAS;
-    let ok = |c: i64| (1..=FIELD_MAX).contains(&c);
-    if !ok(cx) || !ok(cy) || !ok(cz) {
-        return INVALID_KEY;
-    }
-    ((cx as u64) << (2 * FIELD)) | ((cy as u64) << FIELD) | cz as u64
+/// How one frame's cells pack into a `u64`: `x | y | z` fields, most
+/// significant first, each holding `cell − min + 1` so the values `0` and
+/// `span + 1` stay free as guards. With the guards, a neighbour's key is the
+/// cell's key plus a constant: no ±1 offset can borrow from or carry into
+/// the next field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct KeyLayout {
+    min: [i64; 3],
+    /// Bit offsets of the x and y fields (z sits at bit 0).
+    shift: [u32; 2],
 }
 
-/// The 27 packed-key deltas of a cell's 3×3×3 neighbourhood. Fields of valid
-/// keys stay in `[1, FIELD_MAX]`, so the wrapping add never crosses a field
-/// boundary and `key + offset` is exactly the neighbour's key.
-fn neighbor_offsets() -> [u64; 27] {
-    let mut out = [0u64; 27];
-    let mut i = 0;
-    for dx in -1i64..=1 {
-        for dy in -1i64..=1 {
-            for dz in -1i64..=1 {
-                out[i] = ((dx << (2 * FIELD)) + (dy << FIELD) + dz) as u64;
-                i += 1;
-            }
+impl KeyLayout {
+    /// The layout for the cells of side `side` that `points` occupy, or
+    /// `None` when there are no points, a coordinate is not finite, or the
+    /// fields would need more than 64 bits. Division by a positive side and
+    /// `floor` are monotone, so the bounding box's corners lie in the
+    /// extreme cells.
+    fn for_points(points: &[Point3], side: f64) -> Option<KeyLayout> {
+        let first = *points.first()?;
+        let (mut lo, mut hi, mut finite) = (first, first, true);
+        for p in points {
+            // Plain comparisons skip `f64::min`'s NaN handling; a NaN
+            // clears `finite` instead.
+            finite &= p.x.abs() <= f64::MAX && p.y.abs() <= f64::MAX && p.z.abs() <= f64::MAX;
+            lo = Point3::new(
+                if p.x < lo.x { p.x } else { lo.x },
+                if p.y < lo.y { p.y } else { lo.y },
+                if p.z < lo.z { p.z } else { lo.z },
+            );
+            hi = Point3::new(
+                if p.x > hi.x { p.x } else { hi.x },
+                if p.y > hi.y { p.y } else { hi.y },
+                if p.z > hi.z { p.z } else { hi.z },
+            );
         }
+        if !finite {
+            return None;
+        }
+        Self::fit(UniformGrid::cell_for(lo, side), UniformGrid::cell_for(hi, side))
     }
-    out
+
+    /// The layout for cells between `lo` and `hi` (inclusive, per axis), or
+    /// `None` when the three fields would need more than 64 bits.
+    fn fit(lo: Cell, hi: Cell) -> Option<KeyLayout> {
+        // Largest field value: the upper guard, `span + 1`.
+        let bits = |lo: i64, hi: i64| {
+            let top = u64::try_from(hi as i128 - lo as i128 + 2).ok()?;
+            Some(u64::BITS - top.leading_zeros())
+        };
+        let (bx, by, bz) = (bits(lo.0, hi.0)?, bits(lo.1, hi.1)?, bits(lo.2, hi.2)?);
+        (bx + by + bz <= u64::BITS)
+            .then_some(KeyLayout { min: [lo.0, lo.1, lo.2], shift: [by + bz, bz] })
+    }
+
+    #[inline]
+    fn pack(&self, (x, y, z): Cell) -> u64 {
+        let field = |v: i64, a: usize| (v - self.min[a] + 1) as u64;
+        field(x, 0) << self.shift[0] | field(y, 1) << self.shift[1] | field(z, 2)
+    }
+
+    /// Key deltas to the first cell (`dz = −1`) of each `(dx, dy)` row of a
+    /// 3×3×3 block, in `(dx, dy)` order; the row's other two cells follow at
+    /// `+1` and `+2`.
+    fn row_offsets(&self) -> [u64; 9] {
+        let mut out = [0u64; 9];
+        for (i, (dx, dy)) in
+            (-1i64..=1).flat_map(|dx| (-1i64..=1).map(move |dy| (dx, dy))).enumerate()
+        {
+            out[i] = ((dx << self.shift[0]) + (dy << self.shift[1]) - 1) as u64;
+        }
+        out
+    }
 }
 
-/// Chunk length for the sharded count build; big enough that shard-merge
-/// overhead stays negligible, small enough to spread a frame over the pool.
-const COUNT_CHUNK: usize = 1 << 14;
+/// Nine forward-only cursors into the sorted cell keys, one per `(dx, dy)`
+/// row of a 3×3×3 block. Cells are visited in ascending key order, and every
+/// row's first key is the cell's key plus a constant, so each cursor only
+/// ever moves forward: a walk over `m` cells advances them `O(m)` in total.
+struct Rows<'a> {
+    keys: &'a [u64],
+    offsets: [u64; 9],
+    at: [usize; 9],
+}
 
-fn approx_packed(keys: &[u64], min_pts: usize, threads: usize) -> DensitySplit {
-    // Pass 1: per-cell counts. Each worker counts one contiguous chunk into
-    // a private shard; shards merge by summation, which is order-independent
-    // — the merged map is identical for any shard count or merge order.
-    let ranges: Vec<(usize, usize)> = (0..keys.len())
-        .step_by(COUNT_CHUNK.max(1))
-        .map(|lo| (lo, (lo + COUNT_CHUNK).min(keys.len())))
-        .collect();
-    let shards: Vec<FxHashMap<u64, u32>> = dbgc_parallel::map(threads, &ranges, |_, &(lo, hi)| {
-        let mut shard: FxHashMap<u64, u32> = FxHashMap::default();
-        for &k in &keys[lo..hi] {
-            *shard.entry(k).or_insert(0) += 1;
+impl<'a> Rows<'a> {
+    /// Cursors for a walk starting at the cell with key `first`.
+    fn seek(keys: &'a [u64], offsets: [u64; 9], first: u64) -> Rows<'a> {
+        let at = offsets.map(|off| keys.partition_point(|&k| k < first.wrapping_add(off)));
+        Rows { keys, offsets, at }
+    }
+
+    /// Indices of the occupied cells of row `j` in the block of `key` (at
+    /// most three, consecutive). `key` must not be below the previous call's.
+    #[inline]
+    fn row(&mut self, j: usize, key: u64) -> Range<usize> {
+        let first = key.wrapping_add(self.offsets[j]);
+        let mut p = self.at[j];
+        while p < self.keys.len() && self.keys[p] < first {
+            p += 1;
         }
-        shard
+        self.at[j] = p;
+        let mut q = p;
+        while q < self.keys.len() && self.keys[q] <= first.wrapping_add(2) {
+            q += 1;
+        }
+        p..q
+    }
+}
+
+/// The sorted-key passes; `params` are already `BOX_TO_BALL`-scaled.
+fn approx_sorted(
+    points: &[Point3],
+    layout: KeyLayout,
+    params: ClusterParams,
+    threads: usize,
+) -> DensitySplit {
+    // Pass 1: sort (key, point) pairs and count runs; run `c` is the cell
+    // with dense index `c`.
+    let mut pairs = dbgc_parallel::map(threads, points, |i, &p| {
+        (layout.pack(UniformGrid::cell_for(p, params.eps)), i as u32)
     });
-    let mut shards = shards.into_iter();
-    let mut counts = shards.next().unwrap_or_default();
-    for shard in shards {
-        for (key, c) in shard {
-            *counts.entry(key).or_insert(0) += c;
+    radix_sort(&mut pairs);
+    let min_pts = params.min_pts;
+    let mut keys: Vec<u64> = Vec::new();
+    let mut counts: Vec<u32> = Vec::new();
+    let mut point_cell = vec![0u32; points.len()];
+    for &(key, i) in &pairs {
+        if keys.last() != Some(&key) {
+            keys.push(key);
+            counts.push(0);
         }
+        *counts.last_mut().expect("a run was just opened") += 1;
+        point_cell[i as usize] = (keys.len() - 1) as u32;
     }
-    let cell_list: Vec<u64> = counts.keys().copied().collect();
-    let offsets = neighbor_offsets();
+    drop(pairs);
+    let (keys, counts) = (keys.as_slice(), counts.as_slice());
+    let offsets = layout.row_offsets();
 
-    // Pass 2: a cell is dense when its 3×3×3 neighbourhood holds >= minPts.
-    // Each cell's verdict is independent, so the scan fans out over the pool.
-    let dense_flags = dbgc_parallel::map(threads, &cell_list, |_, &key| {
-        let mut total = 0usize;
-        for &off in &offsets {
-            if let Some(&c) = counts.get(&key.wrapping_add(off)) {
-                total += c as usize;
-                if total >= min_pts {
-                    return true;
+    // Pass 2: a cell is dense when its 3×3×3 block holds >= minPts. Each
+    // `WALK_CHUNK`-cell range seeds its cursors by binary search.
+    let ranges: Vec<Range<usize>> = (0..keys.len())
+        .step_by(WALK_CHUNK)
+        .map(|lo| lo..(lo + WALK_CHUNK).min(keys.len()))
+        .collect();
+    let dense = dbgc_parallel::map(threads, &ranges, |_, range| {
+        let mut rows = Rows::seek(keys, offsets, keys[range.start]);
+        let mut block_reaches_min = |key: u64| {
+            let mut total = 0usize;
+            (0..9).any(|j| {
+                total += counts[rows.row(j, key)].iter().map(|&n| n as usize).sum::<usize>();
+                total >= min_pts
+            })
+        };
+        keys[range.clone()].iter().map(|&key| block_reaches_min(key)).collect::<Vec<bool>>()
+    })
+    .concat();
+
+    // Pass 3: dilate by one ring (border cells of a cluster). Few cells
+    // are dense (about a tenth of a city frame's), so each dense cell marks
+    // its block instead of every other cell searching its own. Marks only
+    // ever set a flag, so their order cannot change the result.
+    let dense_cells: Vec<usize> = (0..keys.len()).filter(|&c| dense[c]).collect();
+    let marks: Vec<AtomicBool> = dense.iter().map(|&d| AtomicBool::new(d)).collect();
+    let chunks: Vec<&[usize]> = dense_cells.chunks(WALK_CHUNK).collect();
+    dbgc_parallel::map(threads, &chunks, |_, chunk| {
+        let mut rows = Rows::seek(keys, offsets, keys[chunk[0]]);
+        for &c in *chunk {
+            for j in 0..9 {
+                for q in rows.row(j, keys[c]) {
+                    marks[q].store(true, Ordering::Relaxed);
                 }
             }
         }
-        false
     });
-    let dense_cells: FxHashSet<u64> =
-        cell_list.iter().zip(&dense_flags).filter(|(_, &d)| d).map(|(&c, _)| c).collect();
+    // The fan-out has joined, so every mark is visible here.
+    let dilated: Vec<bool> = marks.into_iter().map(AtomicBool::into_inner).collect();
 
-    // Pass 3: dilate by one ring (border cells of a cluster). Reads only the
-    // pass-2 set, so it parallelizes the same way.
-    let dilated_flags = dbgc_parallel::map(threads, &cell_list, |i, &key| {
-        if dense_flags[i] {
-            return true;
-        }
-        offsets.iter().any(|&off| dense_cells.contains(&key.wrapping_add(off)))
-    });
-    let dilated: FxHashSet<u64> =
-        cell_list.iter().zip(&dilated_flags).filter(|(_, &d)| d).map(|(&c, _)| c).collect();
-
-    // Pass 4: classify points by cell membership, reusing the cached keys.
-    let dense = dbgc_parallel::map(threads, keys, |_, &k| dilated.contains(&k));
+    // Pass 4: each point reads its cell's verdict.
+    let dense = dbgc_parallel::map(threads, &point_cell, |_, &c| dilated[c as usize]);
     DensitySplit { dense }
 }
 
@@ -168,38 +264,19 @@ fn approx_cells(points: &[Point3], params: ClusterParams, threads: usize) -> Den
     let cell_list: Vec<Cell> = grid.iter_cells().map(|(&c, _)| c).collect();
 
     // Pass 2: 3×3×3 density verdicts.
-    let dense_flags = dbgc_parallel::map(threads, &cell_list, |_, &(cx, cy, cz)| {
+    let dense_flags = dbgc_parallel::map(threads, &cell_list, |_, &cell| {
         let mut total = 0usize;
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                for dz in -1..=1 {
-                    total += counts.get(&(cx + dx, cy + dy, cz + dz)).copied().unwrap_or(0);
-                    if total >= params.min_pts {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
+        block(cell).any(|nb| {
+            total += counts.get(&nb).copied().unwrap_or(0);
+            total >= params.min_pts
+        })
     });
     let dense_cells: FxHashSet<Cell> =
         cell_list.iter().zip(&dense_flags).filter(|(_, &d)| d).map(|(&c, _)| c).collect();
 
     // Pass 3: one-ring dilation.
-    let dilated_flags = dbgc_parallel::map(threads, &cell_list, |i, &(cx, cy, cz)| {
-        if dense_flags[i] {
-            return true;
-        }
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                for dz in -1..=1 {
-                    if dense_cells.contains(&(cx + dx, cy + dy, cz + dz)) {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
+    let dilated_flags = dbgc_parallel::map(threads, &cell_list, |i, &cell| {
+        dense_flags[i] || block(cell).any(|nb| dense_cells.contains(&nb))
     });
     let dilated: FxHashSet<Cell> =
         cell_list.iter().zip(&dilated_flags).filter(|(_, &d)| d).map(|(&c, _)| c).collect();
@@ -294,13 +371,14 @@ mod tests {
         }
     }
 
-    /// Far-away coordinates overflow the packed fields and must take the
-    /// fallback instead of silently clamping (which would misclassify).
+    /// A cloud whose three key fields need more than 64 bits must take the
+    /// fallback instead of silently wrapping (which would misclassify).
     #[test]
     fn out_of_range_coordinates_fall_back() {
         let mut pts = mixed_cloud(86);
-        pts.push(Point3::new(1.0e7, 0.0, 0.0)); // ~2·10^7 cells at ε=0.5
-        assert_eq!(pack_cell(pts[pts.len() - 1], 0.5), INVALID_KEY);
+        pts.push(Point3::new(1.0e18, 0.0, 0.0)); // 2·10^18 cells at ε=0.5: 62 bits
+        assert_eq!(KeyLayout::for_points(&pts, 0.5), None);
+        assert!(KeyLayout::for_points(&pts[..pts.len() - 1], 0.5).is_some());
         let params = ClusterParams::new(0.5, 30);
         let split = approx_cluster(&pts, params, 0);
         assert_eq!(split.dense.len(), pts.len());
@@ -319,5 +397,177 @@ mod tests {
         let serial = approx_cluster(&pts, params, 1);
         let pooled = approx_cluster(&pts, params, 4);
         assert_eq!(serial, pooled);
+    }
+
+    #[test]
+    fn key_layout_guards_every_field() {
+        // Spans of 2^k - 2, 2^k - 1 and 2^k cells: the upper guard needs one
+        // more bit exactly when the span reaches 2^k - 1.
+        for (span, bits) in [(6i64, 3u32), (7, 4), (8, 4), (1, 2), (254, 8), (255, 9)] {
+            let cells = [(-5, 0, 10), (-5 + span - 1, 0, 10 + span - 1)];
+            let layout = KeyLayout::fit(cells[0], cells[1]).expect("fits");
+            assert_eq!(layout.shift, [2 + bits, bits], "span {span}");
+            assert_eq!(layout.pack(cells[0]), 1 << layout.shift[0] | 1 << layout.shift[1] | 1);
+            // Every neighbour of every cell is the cell's key plus its offset.
+            for &(x, y, z) in &cells {
+                let key = layout.pack((x, y, z));
+                let offsets = layout.row_offsets();
+                let mut j = 0;
+                for dx in -1..=1 {
+                    for dy in -1..=1 {
+                        let first = layout.pack((x + dx, y + dy, z - 1));
+                        assert_eq!(key.wrapping_add(offsets[j]), first);
+                        assert_eq!(layout.pack((x + dx, y + dy, z + 1)), first + 2);
+                        j += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(KeyLayout::for_points(&[], 0.2), None);
+        assert_eq!(KeyLayout::for_points(&[Point3::new(f64::NAN, 0.0, 0.0)], 0.2), None);
+    }
+
+    /// A random cloud of one of five shapes, drawn from `seed`.
+    fn shaped_cloud(shape: u8, seed: u64, n: usize, eps: f64) -> Vec<Point3> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut pts: Vec<Point3> = Vec::with_capacity(n);
+        match shape {
+            // Uniform box straddling the origin: negative cells on every axis.
+            0 => {
+                let half = rng.gen_range(0.5..8.0) * eps;
+                for _ in 0..n {
+                    pts.push(Point3::new(
+                        rng.gen_range(-half..half),
+                        rng.gen_range(-half..half),
+                        rng.gen_range(-half..half) * 0.3,
+                    ));
+                }
+            }
+            // Few distinct points, each repeated many times.
+            1 => {
+                let base: Vec<Point3> = (0..rng.gen_range(1..12))
+                    .map(|_| {
+                        Point3::new(
+                            rng.gen_range(-3.0..3.0) * eps,
+                            rng.gen_range(-3.0..3.0) * eps,
+                            rng.gen_range(-1.0..1.0) * eps,
+                        )
+                    })
+                    .collect();
+                for _ in 0..n {
+                    pts.push(base[rng.gen_range(0..base.len())]);
+                }
+            }
+            // Most points piled into one cell, the rest scattered around it.
+            2 => {
+                let c = Point3::new(-7.5 * eps, 3.5 * eps, -0.5 * eps);
+                for i in 0..n {
+                    let spread = if i % 5 == 0 { 4.0 * eps } else { 0.45 * eps };
+                    pts.push(Point3::new(
+                        c.x + rng.gen_range(-spread..spread),
+                        c.y + rng.gen_range(-spread..spread),
+                        c.z + rng.gen_range(-spread..spread),
+                    ));
+                }
+            }
+            // Cell spans of 2^k - 2 ..= 2^k + 1 on each axis, so the extreme
+            // cells sit on the boundaries of the packed fields.
+            3 => {
+                let span = |rng: &mut rand::rngs::StdRng| {
+                    let k = rng.gen_range(1..8);
+                    ((1i64 << k) - 2 + rng.gen_range(0..4)).max(1)
+                };
+                let (sx, sy, sz) = (span(&mut rng), span(&mut rng), span(&mut rng));
+                let at = |c: i64| (c as f64 + 0.5) * eps;
+                let (x0, y0, z0) = (-(sx / 2), -3, -(sz / 3) - 1);
+                for (x, y, z) in [(x0, y0, z0), (x0 + sx - 1, y0 + sy - 1, z0 + sz - 1)] {
+                    pts.push(Point3::new(at(x), at(y), at(z)));
+                }
+                for _ in 2..n {
+                    let cell = if rng.gen_range(0..3) == 0 {
+                        // Hug a face of the box.
+                        (x0 + [0, sx - 1][rng.gen_range(0..2)], y0 + rng.gen_range(0..sy), z0)
+                    } else {
+                        (
+                            x0 + rng.gen_range(0..sx),
+                            y0 + rng.gen_range(0..sy),
+                            z0 + rng.gen_range(0..sz),
+                        )
+                    };
+                    pts.push(Point3::new(at(cell.0), at(cell.1), at(cell.2)));
+                }
+            }
+            // Dense blobs in sparse noise.
+            _ => {
+                for i in 0..n {
+                    let p = if i % 3 == 0 {
+                        Point3::new(
+                            rng.gen_range(-20.0..20.0) * eps,
+                            rng.gen_range(-20.0..20.0) * eps,
+                            rng.gen_range(-4.0..4.0) * eps,
+                        )
+                    } else {
+                        let c = [(-6.0, 2.0), (5.0, -5.0), (0.0, 9.0)][i % 3];
+                        Point3::new(
+                            (c.0 + rng.gen_range(-1.5..1.5)) * eps,
+                            (c.1 + rng.gen_range(-1.5..1.5)) * eps,
+                            rng.gen_range(-0.5..0.5) * eps,
+                        )
+                    };
+                    pts.push(p);
+                }
+            }
+        }
+        pts
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// The sorted-key passes reproduce the cell-tuple reference on every
+        /// shape, `min_pts` and thread count.
+        #[test]
+        fn sorted_keys_match_cell_tuple_reference(
+            shape in 0u8..5,
+            seed in proptest::any::<u64>(),
+            n in 1usize..1500,
+            pick in 0usize..3,
+        ) {
+            let eps = 0.2;
+            let pts = shaped_cloud(shape, seed, n, eps);
+            let min_pts = [1, 27, usize::MAX][pick];
+            let params = ClusterParams::new(eps, min_pts);
+            let scaled = ClusterParams {
+                eps,
+                min_pts: ((min_pts as f64 * BOX_TO_BALL).round() as usize).max(1),
+            };
+            let reference = approx_cells(&pts, scaled, 1);
+            for threads in [1, 2, 4] {
+                let got = approx_cluster(&pts, params, threads);
+                proptest::prop_assert_eq!(&got, &reference, "shape {} threads {}", shape, threads);
+            }
+        }
+    }
+
+    /// Coordinates far past the `i64` cell range saturate instead of
+    /// overflowing in every algorithm, and the far points come out sparse.
+    #[test]
+    fn huge_finite_coordinates_do_not_overflow() {
+        let mut pts = mixed_cloud(88);
+        let n = pts.len();
+        pts.push(Point3::new(1e300, 0.0, 0.0));
+        pts.push(Point3::new(-1e300, -1e300, 1e300));
+        pts.push(Point3::new(0.0, 1e300, -1e300));
+        let params = ClusterParams::new(0.5, 30);
+        let splits = [
+            approx_cluster(&pts, params, 1),
+            cell_based_cluster(&pts, params, 1),
+            crate::dbscan(&pts, params, 1).split(),
+        ];
+        for split in &splits {
+            assert_eq!(split.dense.len(), pts.len());
+            assert!(split.dense[n..].iter().all(|&d| !d), "far points must be sparse");
+            assert!(split.dense[..5000].iter().filter(|&&d| d).count() > 4900);
+        }
     }
 }

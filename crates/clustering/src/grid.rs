@@ -4,11 +4,26 @@
 //! block of cells around the point's own cell, so range queries touch at most
 //! 27 cells.
 
-use dbgc_geom::FxHashMap;
 use dbgc_geom::Point3;
+use dbgc_geom::{floor_i64, FxHashMap};
 
 /// Integer cell coordinates.
 pub type Cell = (i64, i64, i64);
+
+/// The cells of the 3×3×3 block around `cell` (itself included), in
+/// `(dx, dy, dz)` order. A coordinate saturated at the `i64` range (a point
+/// beyond ±2⁶³ cells) has no neighbour past it: offsets that would overflow
+/// are skipped instead of wrapping.
+pub(crate) fn block(cell: Cell) -> impl Iterator<Item = Cell> {
+    const D: [i64; 3] = [-1, 0, 1];
+    D.into_iter().flat_map(move |dx| {
+        D.into_iter().flat_map(move |dy| {
+            D.into_iter().filter_map(move |dz| {
+                Some((cell.0.checked_add(dx)?, cell.1.checked_add(dy)?, cell.2.checked_add(dz)?))
+            })
+        })
+    })
+}
 
 /// Below this size the sharded build's merge overhead outweighs the
 /// parallel insert win; build serially.
@@ -77,9 +92,11 @@ impl<'a> UniformGrid<'a> {
         UniformGrid { points, cell_side, cells }
     }
 
+    /// The cell of `p`: `⌊coordinate / side⌋` per axis, saturating at the
+    /// `i64` range.
     #[inline]
-    fn cell_for(p: Point3, side: f64) -> Cell {
-        ((p.x / side).floor() as i64, (p.y / side).floor() as i64, (p.z / side).floor() as i64)
+    pub(crate) fn cell_for(p: Point3, side: f64) -> Cell {
+        (floor_i64(p.x / side), floor_i64(p.y / side), floor_i64(p.z / side))
     }
 
     /// Cell of point index `i`.
@@ -115,17 +132,12 @@ impl<'a> UniformGrid<'a> {
         debug_assert!(radius <= self.cell_side * (1.0 + 1e-9));
         out.clear();
         let p = self.points[i];
-        let (cx, cy, cz) = self.cell_of(i);
         let r2 = radius * radius;
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                for dz in -1..=1 {
-                    if let Some(idxs) = self.cells.get(&(cx + dx, cy + dy, cz + dz)) {
-                        for &j in idxs {
-                            if j as usize != i && p.dist2(self.points[j as usize]) <= r2 {
-                                out.push(j);
-                            }
-                        }
+        for cell in block(self.cell_of(i)) {
+            if let Some(idxs) = self.cells.get(&cell) {
+                for &j in idxs {
+                    if j as usize != i && p.dist2(self.points[j as usize]) <= r2 {
+                        out.push(j);
                     }
                 }
             }
@@ -136,22 +148,11 @@ impl<'a> UniformGrid<'a> {
     /// (the DBSCAN `|N_ε(p)|` convention).
     pub fn count_within(&self, i: usize, radius: f64) -> usize {
         let p = self.points[i];
-        let (cx, cy, cz) = self.cell_of(i);
         let r2 = radius * radius;
-        let mut count = 0usize;
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                for dz in -1..=1 {
-                    if let Some(idxs) = self.cells.get(&(cx + dx, cy + dy, cz + dz)) {
-                        count += idxs
-                            .iter()
-                            .filter(|&&j| p.dist2(self.points[j as usize]) <= r2)
-                            .count();
-                    }
-                }
-            }
-        }
-        count
+        block(self.cell_of(i))
+            .filter_map(|cell| self.cells.get(&cell))
+            .map(|idxs| idxs.iter().filter(|&&j| p.dist2(self.points[j as usize]) <= r2).count())
+            .sum()
     }
 }
 

@@ -22,6 +22,11 @@ use crate::outlier::decode_outliers;
 use crate::sparse::codec::{decode_group_with_limit, GroupCodecConfig};
 use crate::{DbgcConfig, DbgcError, EntropyProfile};
 
+/// Farthest a point may lie from the origin, in metres. The encoder refuses
+/// clouds with a point beyond it, and the decoder refuses a group `r_max`
+/// beyond it, so every stream `compress` returns decodes.
+pub const MAX_RANGE: f64 = 1e12;
+
 /// Stream magic; the version byte after it names the [`EntropyProfile`].
 const MAGIC: [u8; 4] = *b"DBGC";
 const FLAG_SPHERICAL: u8 = 0b01;
@@ -216,7 +221,7 @@ pub fn group_codec_cfg(h: &StreamHeader, r_max: f64) -> (GroupCodecConfig, Optio
 /// Read and validate one group's `r_max`.
 pub fn read_group_r_max(r: &mut ByteReader<'_>) -> Result<f64, DbgcError> {
     let r_max = r.read_f64().map_err(DbgcError::from)?;
-    if !r_max.is_finite() || !(0.0..=1e12).contains(&r_max) {
+    if !r_max.is_finite() || !(0.0..=MAX_RANGE).contains(&r_max) {
         return Err(DbgcError::BadHeader("invalid group r_max"));
     }
     Ok(r_max)

@@ -199,6 +199,81 @@ mod tests {
         ));
     }
 
+    /// `n` points spread uniformly over a 0.4 m cube around `c`: dense at
+    /// q = 2 cm and at q = 5 cm, so the blob never adds sparse points.
+    fn blob(c: Point3, n: usize, seed: u64) -> Vec<Point3> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let mut d = || rng.gen_range(-0.2..0.2);
+                Point3::new(c.x + d(), c.y + d(), c.z + d())
+            })
+            .collect()
+    }
+
+    fn cloud_of(points: Vec<Point3>) -> PointCloud {
+        points.into_iter().collect()
+    }
+
+    /// Compress, decompress and check the error bound.
+    fn round_trips(cloud: &PointCloud, q: f64) {
+        let frame = Dbgc::with_error_bound(q).compress(cloud).expect("compress");
+        let (dec, _) = decompress(&frame.bytes).expect("decompress");
+        verify_roundtrip(cloud, &dec, &frame, q).expect("error bound");
+    }
+
+    #[test]
+    fn points_beyond_the_range_are_refused() {
+        // The decoder refuses a group r_max beyond `MAX_RANGE`, so the
+        // encoder must refuse the cloud instead of returning that stream.
+        let mut pts = blob(Point3::new(0.0, 0.0, 0.0), 2000, 20);
+        pts.push(Point3::new(2e18, 0.0, 0.0));
+        let err = Dbgc::with_error_bound(0.02).compress(&cloud_of(pts)).unwrap_err();
+        assert_eq!(err, DbgcError::PointOutOfRange { index: 2000 });
+    }
+
+    #[test]
+    fn point_just_inside_the_range_round_trips() {
+        // The far point is the frame's only sparse point, hence its only
+        // outlier: the outlier quadtree stays at depth 0.
+        let mut pts = blob(Point3::new(0.0, 0.0, 0.0), 2000, 21);
+        pts.push(Point3::new(layout::MAX_RANGE - 1.0, 0.0, 0.0));
+        round_trips(&cloud_of(pts), 0.02);
+    }
+
+    #[test]
+    fn dense_tree_deeper_than_its_codec_is_refused() {
+        // Two dense patches 1e5 m apart need 22 octree levels at leaf side
+        // 4 cm; the codec writes 21, and a clamped tree misses the bound.
+        let far = |gap: f64| {
+            let mut pts = blob(Point3::new(0.0, 0.0, 0.0), 4000, 22);
+            pts.extend(blob(Point3::new(gap, 0.0, 0.0), 4000, 23));
+            cloud_of(pts)
+        };
+        let err = Dbgc::with_error_bound(0.02).compress(&far(1e5)).unwrap_err();
+        assert_eq!(err, DbgcError::TreeTooDeep { section: "dense", depth: 22, max_depth: 21 });
+        round_trips(&far(1e3), 0.02);
+    }
+
+    #[test]
+    fn outlier_tree_deeper_than_its_codec_is_refused() {
+        // Five isolated outliers spread along x; the quadtree writes at most
+        // 31 levels.
+        let spread = |extent: f64| {
+            let mut pts = blob(Point3::new(0.0, 0.0, 0.0), 2000, 24);
+            pts.extend(
+                (0..5).map(|k| Point3::new(10.0 + extent * k as f64 / 4.0, 7.0 * k as f64, 0.0)),
+            );
+            cloud_of(pts)
+        };
+        let err = Dbgc::with_error_bound(0.02).compress(&spread(1e11)).unwrap_err();
+        assert_eq!(err, DbgcError::TreeTooDeep { section: "outlier", depth: 42, max_depth: 31 });
+        // 1e7 m needs 28 levels at q = 2 cm; 1e8 m needs 32 there, so it
+        // round-trips only at a coarser bound (30 levels at q = 5 cm).
+        round_trips(&spread(1e7), 0.02);
+        round_trips(&spread(1e8), 0.05);
+    }
+
     #[test]
     fn corrupt_streams_do_not_panic() {
         let cloud = lidar_cloud(17);

@@ -11,9 +11,35 @@ use dbgc_codec::varint::{write_uvarint, ByteReader};
 use dbgc_codec::{intseq, CodecError};
 use dbgc_geom::quant::{dequantize, quantize};
 use dbgc_geom::Point3;
-use dbgc_octree::{OctreeCodec, QuadtreeCodec};
+use dbgc_octree::builder::MAX_DEPTH;
+use dbgc_octree::quadtree::MAX_DEPTH_2D;
+use dbgc_octree::{Octree, OctreeCodec, QuadtreeCodec};
 
 use crate::config::OutlierMode;
+use crate::DbgcError;
+
+/// Refuse outliers whose tree under `mode` would need more levels than its
+/// codec writes at leaf side `2·q_xyz`, where [`encode_outliers`] would
+/// clamp the depth and break the error bound. The depth is the one the
+/// codec itself derives, so the check and the encoder cannot disagree.
+pub(crate) fn check_outlier_depth(
+    points: &[Point3],
+    q_xyz: f64,
+    mode: OutlierMode,
+) -> Result<(), DbgcError> {
+    let (depth, max_depth) = match mode {
+        OutlierMode::Quadtree => {
+            let xy: Vec<(f64, f64)> = points.iter().map(|p| (p.x, p.y)).collect();
+            (QuadtreeCodec::required_depth(&xy, q_xyz), MAX_DEPTH_2D)
+        }
+        OutlierMode::Octree => (Octree::required_depth(points, q_xyz), MAX_DEPTH),
+        OutlierMode::None => return Ok(()),
+    };
+    if depth > max_depth {
+        return Err(DbgcError::TreeTooDeep { section: "outlier", depth, max_depth });
+    }
+    Ok(())
+}
 
 /// Encode `points` under `mode`; returns the input→output index mapping.
 pub fn encode_outliers(

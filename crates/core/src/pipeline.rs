@@ -9,12 +9,13 @@ use dbgc_codec::varint::{write_f64, write_uvarint};
 use dbgc_geom::quant::{quantize, QuantParams, SphericalQuant};
 use dbgc_geom::{Aabb, Point3, PointCloud, Spherical};
 use dbgc_metrics::{Collector, Span};
-use dbgc_octree::OctreeCodec;
+use dbgc_octree::builder::MAX_DEPTH;
+use dbgc_octree::{Octree, OctreeCodec};
 
 use crate::config::{ClusteringAlgorithm, DbgcConfig, OutlierMode, SplitStrategy};
 use crate::index::{append_index_trailer, GroupEntry, SectionEntry, SpatialDirectory};
-use crate::layout::{dequantize_point, group_codec_cfg, write_header, StreamHeader};
-use crate::outlier::encode_outliers;
+use crate::layout::{dequantize_point, group_codec_cfg, write_header, StreamHeader, MAX_RANGE};
+use crate::outlier::{check_outlier_depth, encode_outliers};
 use crate::sparse::codec::{encode_group_to_buf, ScratchBuffers};
 use crate::sparse::organize::{organize_sparse_points_into, OrganizeScratch, Organized};
 use crate::stats::{CompressionStats, SectionSizes, TimingBreakdown};
@@ -235,10 +236,17 @@ impl Dbgc {
     ) -> Result<CompressedFrame, DbgcError> {
         let cfg = &self.config;
         cfg.validate().map_err(DbgcError::InvalidConfig)?;
-        if let Some(i) = cloud.iter().position(|p| !p.is_finite()) {
-            return Err(DbgcError::NonFinitePoint { index: i });
-        }
+        // One pass for both input checks: a non-finite point has a
+        // non-finite norm, which is not within the range either.
         let points = cloud.points();
+        let in_range = |p: &Point3| (0.0..=MAX_RANGE).contains(&p.norm());
+        if let Some(i) = points.iter().position(|p| !in_range(p)) {
+            return Err(if points[i].is_finite() {
+                DbgcError::PointOutOfRange { index: i }
+            } else {
+                DbgcError::NonFinitePoint { index: i }
+            });
+        }
         let mut timing = TimingBreakdown::default();
         let mut sections = SectionSizes::default();
         let root = m.map(|c| c.span("compress"));
@@ -251,6 +259,10 @@ impl Dbgc {
         drop(stage);
         let (dense_idx, sparse_idx) = split.partition_indices();
         let dense_pts: Vec<Point3> = dense_idx.iter().map(|&i| points[i]).collect();
+        let depth = Octree::required_depth(&dense_pts, cfg.q_xyz);
+        if depth > MAX_DEPTH {
+            return Err(DbgcError::TreeTooDeep { section: "dense", depth, max_depth: MAX_DEPTH });
+        }
 
         // ---- OCT: octree over dense points ------------------------------
         let stage = root.as_ref().map(|s| s.child("oct"));
@@ -274,13 +286,8 @@ impl Dbgc {
         drop(stage);
 
         // ---- grouping by radial distance --------------------------------
-        // `order[g]` lists indices into sparse_pts for group g, ascending r.
-        // Keyed on (r, index), the unstable sort is a total order that
-        // reproduces the stable sort's tie behaviour exactly.
-        let mut by_r: Vec<u32> = (0..sparse_pts.len() as u32).collect();
-        by_r.sort_unstable_by(|&a, &b| {
-            sparse_sph[a as usize].r.total_cmp(&sparse_sph[b as usize].r).then(a.cmp(&b))
-        });
+        // `groups[g]` lists indices into sparse_pts for group g, ascending r.
+        let by_r = radial_order(&sparse_sph);
         let n_groups = cfg.groups.min(by_r.len().max(1));
         let group_size = by_r.len().div_ceil(n_groups.max(1));
         let groups: Vec<&[u32]> = if by_r.is_empty() {
@@ -390,6 +397,7 @@ impl Dbgc {
         let t = Instant::now();
         let outlier_pts: Vec<Point3> =
             outliers_global.iter().map(|&i| sparse_pts[i as usize]).collect();
+        check_outlier_depth(&outlier_pts, cfg.q_xyz, cfg.outlier_mode)?;
         let outlier_mapping = encode_outliers(&mut out, &outlier_pts, cfg.q_xyz, cfg.outlier_mode);
         for (k, &i) in outliers_global.iter().enumerate() {
             mapping[sparse_idx[i as usize]] = cursor + outlier_mapping[k];
@@ -584,6 +592,19 @@ impl Dbgc {
     }
 }
 
+/// Indices into `sph` in ascending `(r, index)` order, the order the radial
+/// groups are cut from. Every `r` is a finite, non-negative norm, so the
+/// order of its bit pattern is its numeric order (`total_cmp`'s), and
+/// sorting `(r bits, index)` pairs compares plain integers instead of
+/// reading two points per comparison. (The bits of `r` vary in seven of
+/// eight bytes, so here a comparison sort beats [`dbgc_geom::radix_sort`].)
+fn radial_order(sph: &[Spherical]) -> Vec<u32> {
+    let mut keyed: Vec<(u64, u32)> =
+        sph.iter().enumerate().map(|(i, s)| (s.r.to_bits(), i as u32)).collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, i)| i).collect()
+}
+
 /// Directory metadata for one group: bounds of the points the *decoder* will
 /// reconstruct, from the decoder's own dequantizer over the quantized
 /// polylines (bit-identical `f64` values), so pruning on these bounds can
@@ -602,4 +623,32 @@ fn group_meta(lines_q: &[Vec<[i64; 3]>], sq: Option<&SphericalQuant>, q_xyz: f64
         meta.r_max = meta.r_max.max(n);
     }
     meta
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::{Rng, SeedableRng};
+
+    /// The keyed sort cuts the same groups as the comparator it replaced,
+    /// including among points at exactly equal radii.
+    #[test]
+    fn radial_order_matches_comparator_on_equal_radii() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+        for n in [0, 1, 2, 50, 3000] {
+            let radii: Vec<f64> = (0..8).map(|_| rng.gen_range(0.0..120.0)).collect();
+            let sph: Vec<Spherical> = (0..n)
+                .map(|_| {
+                    let r =
+                        if rng.gen_range(0..10) == 0 { 0.0 } else { radii[rng.gen_range(0..8)] };
+                    Spherical::new(rng.gen_range(-3.0..3.0), rng.gen_range(0.0..3.0), r)
+                })
+                .collect();
+            let mut expected: Vec<u32> = (0..n as u32).collect();
+            expected.sort_unstable_by(|&a, &b| {
+                sph[a as usize].r.total_cmp(&sph[b as usize].r).then(a.cmp(&b))
+            });
+            assert_eq!(radial_order(&sph), expected, "n = {n}");
+        }
+    }
 }

@@ -9,8 +9,18 @@
 //!
 //! Organization runs on the encoder only; any deterministic result is valid,
 //! so this module is free to use floating-point angles directly.
+//!
+//! Candidates are found through a grid of `u_θ × u_φ` cells. The usual
+//! index is a dense CSR grid, rows by φ, built by counting sort; the points'
+//! θ, φ and Cartesian coordinates are then copied into *slot order* (the
+//! grid's cell order, input order within a cell), so an extend query reads
+//! each of the 2–3 band rows it touches as one contiguous slot range, and a
+//! polyline's rows are fixed by its seed. Angle spreads that would make the
+//! dense grid mostly empty fall back to a hash grid over input-order slots.
+//! Either way seeds run in input order and distance ties break on the input
+//! index, so the output does not depend on the index or the visit order.
 
-use dbgc_geom::{FxHashMap, Point3, Spherical};
+use dbgc_geom::{floor_i64, FxHashMap, Point3, Spherical};
 
 /// The organized output: polyline point indices (into the group's point
 /// array) and leftover outlier indices.
@@ -32,24 +42,29 @@ impl Organized {
 
 /// Reusable working memory for [`organize_sparse_points_with`].
 ///
-/// Holds the SoA angle arrays, the dense candidate grid (CSR layout built by
-/// counting sort), the used-point bitmap, and the per-polyline extension
-/// staging buffers. Purely an allocation cache: results are identical for any
-/// scratch state.
+/// Holds the slot-order point arrays, the dense candidate grid (CSR layout
+/// built by counting sort), the used-slot bitmap, and the per-polyline
+/// extension staging buffers. Purely an allocation cache: results are
+/// identical for any scratch state.
 #[derive(Debug, Clone, Default)]
 pub struct OrganizeScratch {
-    /// SoA copy of the group's azimuthal angles — the extend loop touches θ
-    /// and φ of many candidates but never `r`, so splitting them out of the
-    /// 24-byte `Spherical` triples the useful bytes per cache line.
+    /// Per slot: θ, φ and the Cartesian point of the input point `orig`
+    /// holds there. The extend loop reads only these, contiguously.
     theta: Vec<f64>,
     phi: Vec<f64>,
-    /// Dense grid, CSR: `cell_pts[cell_start[c]..cell_start[c + 1]]` lists
-    /// the points of cell `c` in ascending index order.
+    xyz: Vec<Point3>,
+    orig: Vec<u32>,
+    /// Input index → slot.
+    slot_of: Vec<u32>,
+    /// Per input point, its `(θ, φ)` cell coordinates, computed once for
+    /// the bounds, the count and the scatter pass.
+    coords: Vec<(i64, i64)>,
+    /// Dense grid, CSR: cell `c` holds slots `cell_start[c]..cell_start[c + 1]`.
     cell_start: Vec<u32>,
-    cell_pts: Vec<u32>,
-    /// Points already placed on a polyline.
+    /// Slots already placed on a polyline.
     used: Vec<bool>,
-    /// Rightward / leftward extension staging for the current polyline.
+    /// Rightward / leftward extension staging (input indices) for the
+    /// current polyline.
     right: Vec<u32>,
     left: Vec<u32>,
     /// Spare polyline vectors recycled from previous outputs, so a warm
@@ -67,68 +82,87 @@ enum GridKind {
 
 #[inline]
 fn cell_coords(theta: f64, phi: f64, u_theta: f64, u_phi: f64) -> (i64, i64) {
-    ((theta / u_theta).floor() as i64, (phi / u_phi).floor() as i64)
+    (floor_i64(theta / u_theta), floor_i64(phi / u_phi))
 }
 
-/// Build the candidate grid over the SoA angles in `scratch`.
-fn build_grid(scratch: &mut OrganizeScratch, u_theta: f64, u_phi: f64) -> GridKind {
-    let n = scratch.theta.len();
+/// Build the candidate grid and fill `scratch`'s slot arrays: in grid cell
+/// order for the dense grid, in input order for the hash grid.
+fn build_grid(
+    spherical: &[Spherical],
+    cartesian: &[Point3],
+    scratch: &mut OrganizeScratch,
+    u_theta: f64,
+    u_phi: f64,
+) -> GridKind {
+    let n = spherical.len();
+    let OrganizeScratch { theta, phi, xyz, orig, slot_of, coords, cell_start, .. } = scratch;
+    coords.clear();
+    coords.extend(spherical.iter().map(|s| cell_coords(s.theta, s.phi, u_theta, u_phi)));
     let (mut tc_min, mut tc_max) = (i64::MAX, i64::MIN);
     let (mut pc_min, mut pc_max) = (i64::MAX, i64::MIN);
-    for i in 0..n {
-        let (tc, pc) = cell_coords(scratch.theta[i], scratch.phi[i], u_theta, u_phi);
+    for &(tc, pc) in coords.iter() {
         tc_min = tc_min.min(tc);
         tc_max = tc_max.max(tc);
         pc_min = pc_min.min(pc);
         pc_max = pc_max.max(pc);
     }
+    for v in [&mut *orig, &mut *slot_of] {
+        v.clear();
+        v.resize(n, 0);
+    }
+    theta.clear();
+    theta.resize(n, 0.0);
+    phi.clear();
+    phi.resize(n, 0.0);
+    xyz.clear();
+    xyz.resize(n, Point3::default());
+    cell_start.clear();
     if n == 0 {
-        scratch.cell_start.clear();
-        scratch.cell_start.push(0);
-        scratch.cell_pts.clear();
+        cell_start.push(0);
         return GridKind::Dense { w: 0, h: 0, tc_min: 0, pc_min: 0 };
     }
+    let mut place = |i: usize, slot: usize| {
+        theta[slot] = spherical[i].theta;
+        phi[slot] = spherical[i].phi;
+        xyz[slot] = cartesian[i];
+        orig[slot] = i as u32;
+        slot_of[i] = slot as u32;
+    };
     // Memory bound for the dense grid: a few dozen cells per point covers
     // every real scan pattern; beyond that the grid is mostly empty and the
     // hash map is the better structure.
     let cap = (n as i64).saturating_mul(64).saturating_add(4096).min(1 << 22);
-    let (w, h) = (tc_max - tc_min + 1, pc_max - pc_min + 1);
-    let cells = w.checked_mul(h).filter(|&c| c <= cap);
-    let Some(n_cells) = cells else {
+    let span = |lo: i64, hi: i64| hi.saturating_sub(lo).saturating_add(1);
+    let (w, h) = (span(tc_min, tc_max), span(pc_min, pc_max));
+    let Some(n_cells) = w.checked_mul(h).filter(|&c| c <= cap) else {
         let mut map: FxHashMap<(i64, i64), Vec<u32>> = FxHashMap::default();
-        for i in 0..n {
-            let key = cell_coords(scratch.theta[i], scratch.phi[i], u_theta, u_phi);
-            map.entry(key).or_default().push(i as u32);
+        for (i, &cell) in coords.iter().enumerate() {
+            place(i, i);
+            map.entry(cell).or_default().push(i as u32);
         }
         return GridKind::Hash(map);
     };
     // Counting sort into CSR. Rows are φ so the 3–4 θ-adjacent cells each
-    // extend query touches per row are contiguous.
+    // extend query touches per row are one contiguous slot range.
     let n_cells = n_cells as usize;
-    let cell_id = |i: usize| -> usize {
-        let (tc, pc) = cell_coords(scratch.theta[i], scratch.phi[i], u_theta, u_phi);
-        ((pc - pc_min) * w + (tc - tc_min)) as usize
-    };
-    scratch.cell_start.clear();
-    scratch.cell_start.resize(n_cells + 1, 0);
-    for i in 0..n {
-        scratch.cell_start[cell_id(i) + 1] += 1;
+    cell_start.resize(n_cells + 1, 0);
+    let cell_id = |(tc, pc): (i64, i64)| ((pc - pc_min) * w + (tc - tc_min)) as usize;
+    for &cell in coords.iter() {
+        cell_start[cell_id(cell) + 1] += 1;
     }
     for c in 1..=n_cells {
-        scratch.cell_start[c] += scratch.cell_start[c - 1];
+        cell_start[c] += cell_start[c - 1];
     }
-    scratch.cell_pts.clear();
-    scratch.cell_pts.resize(n, 0);
-    for i in 0..n {
-        let c = cell_id(i);
-        scratch.cell_pts[scratch.cell_start[c] as usize] = i as u32;
-        scratch.cell_start[c] += 1;
+    for (i, &cell) in coords.iter().enumerate() {
+        let slot = &mut cell_start[cell_id(cell)];
+        place(i, *slot as usize);
+        *slot += 1;
     }
     // The scatter shifted each start to its cell's end; shift back.
     for c in (1..=n_cells).rev() {
-        scratch.cell_start[c] = scratch.cell_start[c - 1];
+        cell_start[c] = cell_start[c - 1];
     }
-    scratch.cell_start[0] = 0;
+    cell_start[0] = 0;
     GridKind::Dense { w, h, tc_min, pc_min }
 }
 
@@ -188,15 +222,23 @@ pub fn organize_sparse_points_into(
     assert_eq!(spherical.len(), cartesian.len());
     assert!(u_theta > 0.0 && u_phi > 0.0, "sample spacings must be positive");
     let n = spherical.len();
-    scratch.theta.clear();
-    scratch.theta.extend(spherical.iter().map(|s| s.theta));
-    scratch.phi.clear();
-    scratch.phi.extend(spherical.iter().map(|s| s.phi));
-    let grid = build_grid(scratch, u_theta, u_phi);
-    let OrganizeScratch { theta, phi, cell_start, cell_pts, used, right, left, line_pool } =
-        scratch;
-    let (theta, phi) = (theta.as_slice(), phi.as_slice());
-    let (cell_start, cell_pts) = (cell_start.as_slice(), cell_pts.as_slice());
+    let grid = build_grid(spherical, cartesian, scratch, u_theta, u_phi);
+    let OrganizeScratch {
+        theta,
+        phi,
+        xyz,
+        orig,
+        slot_of,
+        cell_start,
+        used,
+        right,
+        left,
+        line_pool,
+        ..
+    } = scratch;
+    let (theta, phi, xyz, orig) =
+        (theta.as_slice(), phi.as_slice(), xyz.as_slice(), orig.as_slice());
+    let cell_start = cell_start.as_slice();
     used.clear();
     used.resize(n, false);
     // Recycle the previous output's line vectors instead of dropping them.
@@ -208,87 +250,86 @@ pub fn organize_sparse_points_into(
     let result = out;
     let two_ut = 2.0 * u_theta;
 
-    // Extend from `from` in direction `dir` (+1 right, -1 left); returns the
-    // chosen next point, if any.
-    let extend = |used: &[bool], from: u32, dir: f64, phi_lo: f64, phi_hi: f64| -> Option<u32> {
-        let s_theta = theta[from as usize];
+    // Extend from slot `from` in direction `dir` (+1 right, -1 left) within
+    // the band `phi_lo..=phi_hi`, whose grid rows are `pc_lo..=pc_hi`;
+    // returns the chosen next slot, if any.
+    let extend = |used: &[bool], from: usize, dir: f64, band: &Band| -> Option<usize> {
+        let s_theta = theta[from];
         let (t_lo, t_hi) =
             if dir > 0.0 { (s_theta, s_theta + two_ut) } else { (s_theta - two_ut, s_theta) };
-        let p = cartesian[from as usize];
+        let p = xyz[from];
         let mut best_d = f64::INFINITY;
-        let mut best_i = u32::MAX;
-        let mut visit = |cand: u32| {
-            if used[cand as usize] || cand == from {
-                return;
-            }
+        let mut best = usize::MAX;
+        let mut best_orig = u32::MAX;
+        // The tests combine with non-short-circuit `&`: candidates pass or
+        // fail them unpredictably, and branching on each costs more than
+        // evaluating all of them.
+        let mut visit = |cand: usize| {
             // Strict on the near side, inclusive on the far side.
-            let dt = (theta[cand as usize] - s_theta) * dir;
-            if dt <= 0.0 || dt > two_ut {
-                return;
-            }
-            let cp = phi[cand as usize];
-            if cp < phi_lo || cp > phi_hi {
-                return;
-            }
-            let d = p.dist2(cartesian[cand as usize]);
-            // Deterministic tie-break on index (which also makes the result
-            // independent of candidate visit order, so the dense and hash
-            // grids organize identically).
-            if d < best_d || (d == best_d && cand < best_i) {
+            let dt = (theta[cand] - s_theta) * dir;
+            let cp = phi[cand];
+            let ok = !used[cand]
+                & (cand != from)
+                & !(dt <= 0.0 || dt > two_ut)
+                & !(cp < band.phi_lo || cp > band.phi_hi);
+            let d = p.dist2(xyz[cand]);
+            let o = orig[cand];
+            // Deterministic tie-break on the input index (which also makes
+            // the result independent of candidate visit order, so the dense
+            // and hash grids organize identically).
+            if ok & (d < best_d || (d == best_d && o < best_orig)) {
                 best_d = d;
-                best_i = cand;
+                best = cand;
+                best_orig = o;
             }
         };
-        let (tc_lo, tc_hi) = ((t_lo / u_theta).floor() as i64, (t_hi / u_theta).floor() as i64);
-        let (pc_lo, pc_hi) = ((phi_lo / u_phi).floor() as i64, (phi_hi / u_phi).floor() as i64);
+        let (tc_lo, tc_hi) = (floor_i64(t_lo / u_theta), floor_i64(t_hi / u_theta));
         match &grid {
-            GridKind::Dense { w, h, tc_min, pc_min } => {
+            GridKind::Dense { w, tc_min, .. } => {
                 let (tc_lo, tc_hi) = ((tc_lo - tc_min).max(0), (tc_hi - tc_min).min(w - 1));
-                let (pc_lo, pc_hi) = ((pc_lo - pc_min).max(0), (pc_hi - pc_min).min(h - 1));
-                for pc in pc_lo..=pc_hi {
-                    let row = pc * w;
-                    for tc in tc_lo..=tc_hi {
-                        let c = (row + tc) as usize;
-                        for &i in &cell_pts[cell_start[c] as usize..cell_start[c + 1] as usize] {
-                            visit(i);
-                        }
+                if tc_lo <= tc_hi {
+                    for pc in band.pc_lo..=band.pc_hi {
+                        // Cells tc_lo..=tc_hi of row pc are one slot range.
+                        let row = (pc * w) as usize;
+                        let lo = cell_start[row + tc_lo as usize] as usize;
+                        let hi = cell_start[row + tc_hi as usize + 1] as usize;
+                        (lo..hi).for_each(&mut visit);
                     }
                 }
             }
             GridKind::Hash(map) => {
                 for tc in tc_lo..=tc_hi {
-                    for pc in pc_lo..=pc_hi {
+                    for pc in band.pc_lo..=band.pc_hi {
                         if let Some(v) = map.get(&(tc, pc)) {
-                            for &i in v {
-                                visit(i);
-                            }
+                            v.iter().for_each(|&i| visit(i as usize));
                         }
                     }
                 }
             }
         }
-        (best_i != u32::MAX).then_some(best_i)
+        (best != usize::MAX).then_some(best)
     };
 
-    for seed in 0..n as u32 {
-        if used[seed as usize] {
+    for (seed, &seed_slot) in slot_of.iter().enumerate() {
+        let seed_slot = seed_slot as usize;
+        if used[seed_slot] {
             continue;
         }
-        used[seed as usize] = true;
-        let (phi_lo, phi_hi) = (phi[seed as usize] - u_phi, phi[seed as usize] + u_phi);
+        used[seed_slot] = true;
+        let band = Band::new(phi[seed_slot], u_phi, &grid);
         right.clear();
-        right.push(seed);
-        let mut tail = seed;
-        while let Some(nx) = extend(used, tail, 1.0, phi_lo, phi_hi) {
-            used[nx as usize] = true;
-            right.push(nx);
+        right.push(seed as u32);
+        let mut tail = seed_slot;
+        while let Some(nx) = extend(used, tail, 1.0, &band) {
+            used[nx] = true;
+            right.push(orig[nx]);
             tail = nx;
         }
         left.clear();
-        let mut head = seed;
-        while let Some(nx) = extend(used, head, -1.0, phi_lo, phi_hi) {
-            used[nx as usize] = true;
-            left.push(nx);
+        let mut head = seed_slot;
+        while let Some(nx) = extend(used, head, -1.0, &band) {
+            used[nx] = true;
+            left.push(orig[nx]);
             head = nx;
         }
         let len = left.len() + right.len();
@@ -308,9 +349,32 @@ pub fn organize_sparse_points_into(
     // head index breaks exact angle ties, making the unstable sort a total
     // (and therefore deterministic) order.
     result.polylines.sort_unstable_by(|a, b| {
-        let (ha, hb) = (a[0] as usize, b[0] as usize);
+        let (ha, hb) = (slot_of[a[0] as usize] as usize, slot_of[b[0] as usize] as usize);
         phi[ha].total_cmp(&phi[hb]).then(theta[ha].total_cmp(&theta[hb])).then(a[0].cmp(&b[0]))
     });
+}
+
+/// A polyline's polar band, `φ_seed ± u_φ`, and the grid rows it covers
+/// (clamped to the dense grid; empty when the band misses it).
+struct Band {
+    phi_lo: f64,
+    phi_hi: f64,
+    pc_lo: i64,
+    pc_hi: i64,
+}
+
+impl Band {
+    fn new(seed_phi: f64, u_phi: f64, grid: &GridKind) -> Band {
+        let (phi_lo, phi_hi) = (seed_phi - u_phi, seed_phi + u_phi);
+        let (pc_lo, pc_hi) = (floor_i64(phi_lo / u_phi), floor_i64(phi_hi / u_phi));
+        let (pc_lo, pc_hi) = match grid {
+            GridKind::Dense { h, pc_min, .. } => {
+                ((pc_lo - pc_min).max(0), (pc_hi - pc_min).min(h - 1))
+            }
+            GridKind::Hash(_) => (pc_lo, pc_hi),
+        };
+        Band { phi_lo, phi_hi, pc_lo, pc_hi }
+    }
 }
 
 #[cfg(test)]
@@ -448,6 +512,107 @@ mod tests {
         let org = organize_sparse_points(&sph, &cart, U_T, U_P, 3);
         assert_eq!(org.polylines, vec![vec![2, 3, 4]]);
         assert_eq!(org.outliers, vec![0, 1]);
+    }
+
+    /// Algorithm 1 as written: every extend scans every point. The
+    /// reference the grid organizer must reproduce exactly.
+    fn naive_organize(
+        sph: &[Spherical],
+        cart: &[Point3],
+        u_theta: f64,
+        u_phi: f64,
+        min_len: usize,
+    ) -> Organized {
+        let n = sph.len();
+        let mut used = vec![false; n];
+        let extend = |used: &[bool], from: usize, dir: f64, lo: f64, hi: f64| {
+            let mut best: Option<(f64, usize)> = None;
+            for cand in 0..n {
+                let dt = (sph[cand].theta - sph[from].theta) * dir;
+                if used[cand] || dt <= 0.0 || dt > 2.0 * u_theta {
+                    continue;
+                }
+                if sph[cand].phi < lo || sph[cand].phi > hi {
+                    continue;
+                }
+                let d = cart[from].dist2(cart[cand]);
+                // Ascending scan: a strict `<` keeps the lowest index on ties.
+                if best.map_or(true, |(bd, _)| d < bd) {
+                    best = Some((d, cand));
+                }
+            }
+            best.map(|(_, i)| i)
+        };
+        let mut out = Organized::default();
+        for seed in 0..n {
+            if used[seed] {
+                continue;
+            }
+            used[seed] = true;
+            let (lo, hi) = (sph[seed].phi - u_phi, sph[seed].phi + u_phi);
+            let mut line = vec![seed as u32];
+            let mut tail = seed;
+            while let Some(nx) = extend(&used, tail, 1.0, lo, hi) {
+                used[nx] = true;
+                line.push(nx as u32);
+                tail = nx;
+            }
+            let mut head = seed;
+            while let Some(nx) = extend(&used, head, -1.0, lo, hi) {
+                used[nx] = true;
+                line.insert(0, nx as u32);
+                head = nx;
+            }
+            if line.len() >= min_len {
+                out.polylines.push(line);
+            } else {
+                out.outliers.extend(line);
+            }
+        }
+        out.polylines.sort_by(|a, b| {
+            let (ha, hb) = (&sph[a[0] as usize], &sph[b[0] as usize]);
+            ha.phi.total_cmp(&hb.phi).then(ha.theta.total_cmp(&hb.theta)).then(a[0].cmp(&b[0]))
+        });
+        out
+    }
+
+    /// Random groups on a coarse lattice, so many candidates sit at exactly
+    /// the same distance from a tail: ties must break on the input index in
+    /// both the dense grid and the hash grid (forced by two far-θ points).
+    #[test]
+    fn matches_naive_algorithm_with_distance_ties() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(91);
+        for round in 0..24 {
+            let n = rng.gen_range(1..400);
+            let mut sph = Vec::with_capacity(n + 2);
+            let mut cart = Vec::with_capacity(n + 2);
+            for _ in 0..n {
+                // θ and φ on half-spacing lattices; Cartesian coordinates on
+                // an integer lattice (exact squared distances, many ties),
+                // independent of the angles: the organizer reads both as given.
+                let t = rng.gen_range(-40..40) as f64 * 0.5 * U_T;
+                let p = 1.6 + rng.gen_range(-6..6) as f64 * 0.5 * U_P;
+                sph.push(Spherical::new(t, p, 10.0));
+                cart.push(Point3::new(
+                    rng.gen_range(-3..4) as f64,
+                    rng.gen_range(-3..4) as f64,
+                    rng.gen_range(-1..2) as f64,
+                ));
+            }
+            if round % 2 == 1 {
+                for t in [1e6 * U_T, -1e6 * U_T] {
+                    sph.push(Spherical::new(t, 1.6, 10.0));
+                    cart.push(Point3::new(0.0, 0.0, 0.0));
+                }
+            }
+            let mut scratch = OrganizeScratch::default();
+            let hash = matches!(build_grid(&sph, &cart, &mut scratch, U_T, U_P), GridKind::Hash(_));
+            assert_eq!(hash, round % 2 == 1, "round {round}");
+            let expected = naive_organize(&sph, &cart, U_T, U_P, 3);
+            let got = organize_sparse_points(&sph, &cart, U_T, U_P, 3);
+            assert_same(&got, &expected);
+        }
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! * [`error`] — per-axis and Euclidean error metrics between an original cloud
 //!   and its decompressed counterpart;
 //! * [`SensorMeta`] — LiDAR sensor metadata (angular ranges and resolutions)
-//!   used to derive the polyline-extension tolerances `u_θ` and `u_φ`.
+//!   used to derive the polyline-extension tolerances `u_θ` and `u_φ`;
+//! * [`radix_sort`] — the stable `(u64 key, u32 index)` radix sort the
+//!   density split, the tree coders and the radial grouping share.
 
 #![warn(missing_docs)]
 
@@ -20,6 +22,7 @@ pub mod error;
 pub mod fxhash;
 pub mod point;
 pub mod quant;
+pub mod radix;
 pub mod sensor;
 pub mod spherical;
 
@@ -27,6 +30,7 @@ pub use aabb::{Aabb, BoundingCube, Rect2};
 pub use error::{CloudError, ErrorReport};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use point::{Point3, PointCloud};
-pub use quant::{dequantize, quantize, QuantParams, SphericalQuant};
+pub use quant::{dequantize, floor_i64, quantize, QuantParams, SphericalQuant};
+pub use radix::radix_sort;
 pub use sensor::SensorMeta;
 pub use spherical::Spherical;

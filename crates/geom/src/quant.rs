@@ -23,6 +23,18 @@ pub fn dequantize(q: i64, step: f64) -> f64 {
     q as f64 * step
 }
 
+/// `v.floor() as i64`, computed as truncate-then-adjust: equal for every
+/// input (saturating at the `i64` range, `0` for NaN), but without the libm
+/// call `f64::floor` compiles to on targets lacking SSE4.1. Cell indexing
+/// (density split, organizer grid) calls it once per point and axis.
+#[inline]
+pub fn floor_i64(v: f64) -> i64 {
+    let t = v as i64;
+    // `t as f64` is exact (a truncated f64 is an integral f64), so `t > v`
+    // holds exactly for negative non-integers and below the i64 range.
+    t.saturating_sub(((t as f64) > v) as i64)
+}
+
 /// Per-axis quantization parameters for one coordinate system.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantParams {
@@ -111,6 +123,36 @@ impl SphericalQuant {
 mod tests {
     use super::*;
     use crate::point::Point3;
+
+    #[test]
+    fn floor_i64_matches_floor_cast() {
+        let big = 2f64.powi(53);
+        for v in [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            -1.0,
+            -1e-300,
+            2.999_999_999,
+            -2.000_000_001,
+            big - 0.5,
+            -(big - 0.5),
+            big * 3.0,
+            -big * 3.0,
+            9.3e18,
+            -9.3e18,
+            -(2f64.powi(63)),
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            assert_eq!(floor_i64(v), v.floor() as i64, "v = {v:e}");
+        }
+    }
 
     #[test]
     fn scalar_quantization_error_bound() {

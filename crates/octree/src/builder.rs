@@ -5,7 +5,7 @@
 //! code, and every level of the tree is then a prefix-grouping of that sorted
 //! key array. This keeps construction `O(n log n)` and cache-friendly.
 
-use dbgc_geom::{Aabb, BoundingCube, Point3};
+use dbgc_geom::{radix_sort, Aabb, BoundingCube, Point3};
 
 /// Maximum tree depth: 21 bits per axis fit a 63-bit Morton code.
 pub const MAX_DEPTH: u32 = 21;
@@ -65,14 +65,28 @@ pub struct Octree {
 
 impl Octree {
     /// Build an octree whose leaf cells have side `<= 2·q_xyz`, so decoding a
-    /// point as its leaf centre incurs per-axis error `<= q_xyz`.
+    /// point as its leaf centre incurs per-axis error `<= q_xyz` — as long
+    /// as [`Octree::required_depth`] is at most [`MAX_DEPTH`]. Deeper trees
+    /// are clamped to `MAX_DEPTH`, and their leaves are wider than `2·q_xyz`;
+    /// callers that promise the bound check `required_depth` first.
     ///
     /// Returns `None` for an empty input.
     pub fn build(points: &[Point3], q_xyz: f64) -> Option<Octree> {
-        let bb = Aabb::from_points(points)?;
-        let cube = BoundingCube::enclosing(bb);
-        let depth = cube.depth_for_leaf_side(2.0 * q_xyz).min(MAX_DEPTH);
-        Some(Self::build_in_cube(points, cube, depth))
+        let (cube, depth) = Self::frame(points, q_xyz)?;
+        Some(Self::build_in_cube(points, cube, depth.min(MAX_DEPTH)))
+    }
+
+    /// Levels a tree over `points` needs for leaf side `<= 2·q_xyz`, before
+    /// the [`MAX_DEPTH`] clamp of [`Octree::build`] (0 for an empty input).
+    pub fn required_depth(points: &[Point3], q_xyz: f64) -> u32 {
+        Self::frame(points, q_xyz).map_or(0, |(_, depth)| depth)
+    }
+
+    /// The cube enclosing `points` and its unclamped depth at leaf side
+    /// `2·q_xyz`; `None` for an empty input.
+    fn frame(points: &[Point3], q_xyz: f64) -> Option<(BoundingCube, u32)> {
+        let cube = BoundingCube::enclosing(Aabb::from_points(points)?);
+        Some((cube, cube.depth_for_leaf_side(2.0 * q_xyz)))
     }
 
     /// Build with an explicit cube and depth (used when several subsets must
@@ -89,7 +103,7 @@ impl Octree {
                 (morton3(cell), i as u32)
             })
             .collect();
-        keyed.sort_unstable();
+        radix_sort(&mut keyed);
 
         let mut leaf_keys = Vec::new();
         let mut leaf_counts: Vec<u32> = Vec::new();

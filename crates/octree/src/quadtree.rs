@@ -10,7 +10,7 @@
 use dbgc_codec::intseq;
 use dbgc_codec::varint::{write_f64, write_uvarint, ByteReader};
 use dbgc_codec::{AdaptiveModel, CodecError, RangeDecoder, RangeEncoder};
-use dbgc_geom::Rect2;
+use dbgc_geom::{radix_sort, Rect2};
 
 /// Maximum depth: 31 bits per axis fit a 62-bit Morton code.
 pub const MAX_DEPTH_2D: u32 = 31;
@@ -72,11 +72,29 @@ pub struct QuadtreeDecodeResult {
 pub struct QuadtreeCodec;
 
 impl QuadtreeCodec {
-    /// Compress 2D points with leaf side `2·q` (per-axis error `<= q`).
-    pub fn encode(&self, points: &[(f64, f64)], q: f64) -> QuadtreeEncodeResult {
+    /// Levels a quadtree over `points` needs for leaf side `<= 2·q`, before
+    /// the [`MAX_DEPTH_2D`] clamp of [`QuadtreeCodec::encode`] (0 for an
+    /// empty input).
+    pub fn required_depth(points: &[(f64, f64)], q: f64) -> u32 {
+        Self::frame(points, q).map_or(0, |(_, depth)| depth)
+    }
+
+    /// The square enclosing `points` and its unclamped depth at leaf side
+    /// `2·q`; `None` for an empty input.
+    fn frame(points: &[(f64, f64)], q: f64) -> Option<(Rect2, u32)> {
         let pts3: Vec<dbgc_geom::Point3> =
             points.iter().map(|&(x, y)| dbgc_geom::Point3::new(x, y, 0.0)).collect();
-        let Some(rect) = Rect2::enclosing_xy(&pts3) else {
+        let rect = Rect2::enclosing_xy(&pts3)?;
+        Some((rect, rect.depth_for_leaf_side(2.0 * q)))
+    }
+
+    /// Compress 2D points with leaf side `2·q` (per-axis error `<= q`) —
+    /// as long as [`QuadtreeCodec::required_depth`] is at most
+    /// [`MAX_DEPTH_2D`]. Deeper trees are clamped to `MAX_DEPTH_2D`, and
+    /// their leaves are wider than `2·q`; callers that promise the bound
+    /// check `required_depth` first.
+    pub fn encode(&self, points: &[(f64, f64)], q: f64) -> QuadtreeEncodeResult {
+        let Some((rect, depth)) = Self::frame(points, q) else {
             let mut out = Vec::new();
             write_f64(&mut out, 0.0);
             write_f64(&mut out, 0.0);
@@ -85,7 +103,7 @@ impl QuadtreeCodec {
             write_uvarint(&mut out, 0);
             return QuadtreeEncodeResult { bytes: out, mapping: Vec::new(), leaves: 0 };
         };
-        let depth = rect.depth_for_leaf_side(2.0 * q).min(MAX_DEPTH_2D);
+        let depth = depth.min(MAX_DEPTH_2D);
 
         let mut keyed: Vec<(u64, u32)> = points
             .iter()
@@ -95,7 +113,7 @@ impl QuadtreeCodec {
                 (morton2(cell), i as u32)
             })
             .collect();
-        keyed.sort_unstable();
+        radix_sort(&mut keyed);
 
         let mut leaf_keys: Vec<u64> = Vec::new();
         let mut leaf_counts: Vec<u32> = Vec::new();
