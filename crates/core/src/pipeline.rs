@@ -287,7 +287,7 @@ impl Dbgc {
 
         // ---- grouping by radial distance --------------------------------
         // `groups[g]` lists indices into sparse_pts for group g, ascending r.
-        let by_r = radial_order(&sparse_sph);
+        let by_r = ascending_order(sparse_sph.iter().map(|s| s.r));
         let n_groups = cfg.groups.min(by_r.len().max(1));
         let group_size = by_r.len().div_ceil(n_groups.max(1));
         let groups: Vec<&[u32]> = if by_r.is_empty() {
@@ -540,12 +540,9 @@ impl Dbgc {
                 }
             }
             SplitStrategy::NearestFraction(f) => {
-                // (norm, index) keys make the unstable sort a total order
-                // matching the stable sort's tie behaviour.
-                let mut order: Vec<u32> = (0..points.len() as u32).collect();
-                order.sort_unstable_by(|&a, &b| {
-                    points[a as usize].norm().total_cmp(&points[b as usize].norm()).then(a.cmp(&b))
-                });
+                // `compress_impl` has range-checked every point, so each
+                // norm is finite and non-negative.
+                let order = ascending_order(points.iter().map(|p| p.norm()));
                 let n_dense = (points.len() as f64 * f).round() as usize;
                 let mut dense = vec![false; points.len()];
                 for &i in order.iter().take(n_dense) {
@@ -592,15 +589,16 @@ impl Dbgc {
     }
 }
 
-/// Indices into `sph` in ascending `(r, index)` order, the order the radial
-/// groups are cut from. Every `r` is a finite, non-negative norm, so the
-/// order of its bit pattern is its numeric order (`total_cmp`'s), and
-/// sorting `(r bits, index)` pairs compares plain integers instead of
-/// reading two points per comparison. (The bits of `r` vary in seven of
-/// eight bytes, so here a comparison sort beats [`dbgc_geom::radix_sort`].)
-fn radial_order(sph: &[Spherical]) -> Vec<u32> {
-    let mut keyed: Vec<(u64, u32)> =
-        sph.iter().enumerate().map(|(i, s)| (s.r.to_bits(), i as u32)).collect();
+/// Indices of `keys` in ascending `(key, index)` order: the order the
+/// radial groups are cut from (keys `r`) and the nearest-fraction split's
+/// order (keys `norm()`). Both are norms of range-checked points, finite
+/// and non-negative, so the order of a key's bit pattern is its numeric
+/// order (`total_cmp`'s), and sorting `(key bits, index)` pairs computes
+/// each key once and compares plain integers. (The bits of a norm vary in
+/// seven of eight bytes, so here a comparison sort beats
+/// [`dbgc_geom::radix_sort`].)
+fn ascending_order(keys: impl Iterator<Item = f64>) -> Vec<u32> {
+    let mut keyed: Vec<(u64, u32)> = keys.zip(0u32..).map(|(k, i)| (k.to_bits(), i)).collect();
     keyed.sort_unstable();
     keyed.into_iter().map(|(_, i)| i).collect()
 }
@@ -648,7 +646,42 @@ mod tests {
             expected.sort_unstable_by(|&a, &b| {
                 sph[a as usize].r.total_cmp(&sph[b as usize].r).then(a.cmp(&b))
             });
-            assert_eq!(radial_order(&sph), expected, "n = {n}");
+            assert_eq!(ascending_order(sph.iter().map(|s| s.r)), expected, "n = {n}");
+        }
+    }
+
+    /// The nearest-fraction split's keyed order is the order of the norm
+    /// comparator it replaced, on clouds where many points share a norm
+    /// (sign flips of one offset) and some sit at the origin (either sign
+    /// of zero).
+    #[test]
+    fn nearest_fraction_order_matches_comparator() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(37);
+        for n in [0, 1, 2, 64, 4000] {
+            let offsets: Vec<Point3> = (0..6)
+                .map(|_| {
+                    let mut c = || rng.gen_range(0.0..60.0);
+                    Point3::new(c(), c(), c())
+                })
+                .collect();
+            let points: Vec<Point3> = (0..n)
+                .map(|_| {
+                    let sign = |b: bool| if b { -1.0 } else { 1.0 };
+                    let s = [rng.gen_bool(0.5), rng.gen_bool(0.5), rng.gen_bool(0.5)].map(sign);
+                    let p = if rng.gen_range(0..8) == 0 {
+                        Point3::new(0.0, 0.0, 0.0)
+                    } else {
+                        offsets[rng.gen_range(0..6)]
+                    };
+                    Point3::new(s[0] * p.x, s[1] * p.y, s[2] * p.z)
+                })
+                .collect();
+            let mut expected: Vec<u32> = (0..n as u32).collect();
+            expected.sort_unstable_by(|&a, &b| {
+                points[a as usize].norm().total_cmp(&points[b as usize].norm()).then(a.cmp(&b))
+            });
+            let keyed = ascending_order(points.iter().map(|p| p.norm()));
+            assert_eq!(keyed, expected, "n = {n}");
         }
     }
 }

@@ -172,7 +172,11 @@ pub struct FleetConfig {
     pub policy: OverloadPolicy,
     /// Per-connection payload guard handed to each [`FrameReader`].
     pub max_payload: u64,
-    /// Decompress stored frames (the paper's non-bypass mode).
+    /// Decompress stored frames (the paper's non-bypass mode). The shard
+    /// decodes a frame after writing its ack, so a frame's own decode is
+    /// not in its ack latency (one that arrives while its shard decodes an
+    /// earlier frame still waits for that decode). A frame that fails to
+    /// decode is counted in `decode_failures` and never stored.
     pub decompress: bool,
     /// Per-tenant auth table. `None` (the default) accepts any hello;
     /// `Some` requires a matching [`Control::HelloAuth`] token on every
@@ -1076,7 +1080,9 @@ impl FleetHandle {
     }
 
     /// The fleet's metrics collector (`fleet.*` gauges/counters plus every
-    /// tenant's `net.*` counters).
+    /// tenant's `net.*` counters). A shard acks a frame before it decodes
+    /// and stores it, so a reader that wants a frame's counters settled
+    /// after its ack calls [`FleetHandle::sync`] first.
     pub fn metrics(&self) -> &Collector {
         &self.shared.collector
     }

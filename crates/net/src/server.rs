@@ -5,10 +5,20 @@
 //! modes live here, one `SessionServer` per wire-v3 tenant: the fleet
 //! ([`crate::fleet`]) owns the transports, does the framing, admits and
 //! routes hellos, and pushes each parsed frame in. This module only decides
-//! what a frame means for its session — store it, deduplicate a replay, drop
-//! an out-of-order arrival for go-back-N to re-deliver, or count a decode
-//! failure — and acknowledges progress.
+//! what a frame means for its session — accept it in order, deduplicate a
+//! replay, or drop an out-of-order arrival for go-back-N to re-deliver — and
+//! acknowledges progress.
+//!
+//! The ack leaves as soon as the session has decided, before any decode: an
+//! ack means "accepted in order", not "decoded". With decompression on, an
+//! accepted frame is decoded after its ack and then stored; one whose
+//! checksummed payload does not decode is counted (`decode_failures`) and
+//! never stored, so no drain ever sees it. The decode still runs on the
+//! shard, before the shard takes its next event, so a drain, eviction,
+//! `sync()` or shutdown sees every accepted frame either stored with its
+//! cloud or counted as a failure.
 
+use std::cmp::Ordering;
 use std::io::Write;
 
 use dbgc_geom::PointCloud;
@@ -48,7 +58,7 @@ pub(crate) struct SessionCounts {
 }
 
 /// One tenant's wire-v3 session: strict in-order delivery with replay
-/// dedup, acknowledged after every accepted or deduplicated frame so the
+/// dedup, one ack per data frame (written before the frame decodes) so the
 /// client can advance its bounded in-flight window. State outlives any one
 /// connection, so a reconnecting client resumes against the same cursor.
 ///
@@ -114,37 +124,50 @@ impl SessionServer {
     }
 
     /// Process one data frame; `true` when it was stored.
+    ///
+    /// The session places the frame first (a replay below the cursor is
+    /// deduplicated, a frame above it dropped for go-back-N, the frame at
+    /// the cursor accepted and the cursor advanced) and acks that at once.
+    /// Only an accepted frame is then decoded (with `decompress` on) and
+    /// stored, so the sender never waits for the decode.
     pub(crate) fn data(&mut self, wire: WireFrame, ack: &mut Option<impl Write>) -> bool {
         self.counts.intact += 1;
         self.metrics.incr("net.frames_intact", 1);
         self.metrics.record("net.frame_bytes", wire.payload.len() as u64);
-        if wire.sequence < self.next_expected {
-            self.counts.deduped += 1;
-            self.metrics.incr("net.frames_deduped", 1);
-            // Re-ack so a client that missed the original ack advances.
-            self.send_ack(ack);
+        let accepted = match wire.sequence.cmp(&self.next_expected) {
+            // A replay: the re-ack lets a client that missed the original
+            // ack advance.
+            Ordering::Less => {
+                self.counts.deduped += 1;
+                self.metrics.incr("net.frames_deduped", 1);
+                false
+            }
+            // A gap: the ack tells the client where the cursor is.
+            Ordering::Greater => {
+                self.counts.gap_dropped += 1;
+                self.metrics.incr("net.seq_gaps", 1);
+                self.metrics.incr("net.frames_gap_dropped", 1);
+                false
+            }
+            Ordering::Equal => {
+                self.next_expected = self.next_expected.wrapping_add(1);
+                true
+            }
+        };
+        self.send_ack(ack);
+        if !accepted {
             return false;
         }
-        if wire.sequence > self.next_expected {
-            self.counts.gap_dropped += 1;
-            self.metrics.incr("net.seq_gaps", 1);
-            self.metrics.incr("net.frames_gap_dropped", 1);
-            // Tell the client where we are; go-back-N fills the hole.
-            self.send_ack(ack);
-            return false;
-        }
-        self.next_expected = self.next_expected.wrapping_add(1);
         let cloud = if self.decompress {
             match dbgc::decompress_with_metrics(&wire.payload, &self.metrics) {
                 Ok((cloud, _)) => Some(cloud),
                 Err(_) => {
-                    // The payload passed its CRC, so retransmission would
-                    // resend the same poisoned bytes: advance and ack to keep
-                    // the session moving.
+                    // The payload passed its CRC, so a resend would carry the
+                    // same poisoned bytes; the ack already moved the client
+                    // past it. Counted, never stored or drained.
                     self.counts.decode_failures += 1;
                     self.metrics.incr("net.decode_failures", 1);
                     self.metrics.incr("net.frames_dropped", 1);
-                    self.send_ack(ack);
                     return false;
                 }
             }
@@ -156,7 +179,6 @@ impl SessionServer {
         self.metrics.incr("net.frames_stored", 1);
         self.metrics.incr("net.bytes_received", wire.payload.len() as u64);
         self.store.push(StoredFrame { sequence: wire.sequence, bytes: wire.payload, cloud });
-        self.send_ack(ack);
         true
     }
 
@@ -362,6 +384,59 @@ mod tests {
         }
         assert_eq!(seen, vec![0, 1, 2, 2, 2]);
         assert_eq!(r.bytes_skipped(), 0, "every ack byte belongs to a frame");
+    }
+
+    /// An ack sink that notes, as each ack is flushed, how many `decompress`
+    /// spans its collector has finished.
+    struct AckProbe {
+        collector: Collector,
+        pending: Vec<u8>,
+        /// `(next_expected, finished decompress spans)` per flushed ack.
+        acks: Vec<(u32, usize)>,
+    }
+
+    fn decodes_finished(collector: &Collector) -> usize {
+        collector.snapshot().spans.iter().filter(|s| s.name == "decompress").count()
+    }
+
+    impl Write for AckProbe {
+        fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+            self.pending.extend_from_slice(data);
+            Ok(data.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            let (frame, _) = FrameReader::new(&self.pending[..]).next_frame().expect("one ack");
+            let Some(Control::Ack { next_expected, .. }) = Control::from_frame(&frame) else {
+                panic!("not an ack: {frame:?}");
+            };
+            self.acks.push((next_expected, decodes_finished(&self.collector)));
+            self.pending.clear();
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn ack_leaves_before_the_decode() {
+        // Frame 0 decodes, frame 1 passes its CRC but does not: each is
+        // acked once the session accepts it, before its decode runs.
+        let cloud = toy_cloud(600);
+        let payload = Dbgc::with_error_bound(0.02).compress(&cloud).unwrap().bytes;
+        let collector = Collector::new();
+        let mut core = SessionServer::new(9, true, &collector);
+        let probe =
+            AckProbe { collector: collector.clone(), pending: Vec::new(), acks: Vec::new() };
+        let mut acks = Some(probe);
+        assert!(core.data(WireFrame { sequence: 0, payload }, &mut acks));
+        let seen = |acks: &Option<AckProbe>| acks.as_ref().unwrap().acks.clone();
+        assert_eq!(seen(&acks), vec![(1, 0)], "frame 0 acked before any decode finished");
+        assert_eq!(decodes_finished(&collector), 1);
+        let stored = core.frames()[0].cloud.as_ref().expect("frame 0 stored with its cloud");
+        assert_eq!(stored.len(), cloud.len());
+        assert!(!core.data(data_frame(1), &mut acks));
+        assert_eq!(seen(&acks), vec![(1, 0), (2, 1)], "frame 1 acked before its decode ran");
+        assert_eq!(core.counts().decode_failures, 1);
+        assert_eq!(core.frames().len(), 1, "the undecodable frame is not stored");
     }
 
     #[test]

@@ -10,6 +10,7 @@ use dbgc_geom::PointCloud;
 use dbgc_lidar_sim::ScenePreset;
 use dbgc_net::fleet::{FleetConfig, FleetServer, TenantReport};
 use dbgc_net::link::LinkModel;
+use dbgc_net::server::StoredFrame;
 use dbgc_net::session::{ResilientClient, SessionConfig};
 
 /// A one-tenant in-process fleet: the single-sensor server.
@@ -69,6 +70,66 @@ fn stream_over_tcp_localhost() {
     let (_, stored) = report.drained.iter().find(|(sid, _)| *sid == 5).expect("session drained");
     let restored = stored[0].cloud.as_ref().expect("decompressed");
     dbgc::verify_roundtrip(&cloud, restored, &frame, 0.02).expect("bound holds");
+}
+
+/// Two compressed frames with a CRC-valid payload that does not decode
+/// between them: the clouds, their frames, and the three payloads.
+fn stream_with_undecodable_middle() -> (Vec<PointCloud>, Vec<CompressedFrame>, Vec<Vec<u8>>) {
+    let frames_meta: Vec<_> = (0..2).map(|k| small_frame(ScenePreset::KittiCity, 50 + k)).collect();
+    let meta = frames_meta[0].1;
+    let clouds: Vec<_> = frames_meta.into_iter().map(|(c, _)| c).collect();
+    let compressor = Dbgc::new(small_config(0.02, meta));
+    let frames: Vec<_> = clouds.iter().map(|c| compressor.compress(c).unwrap()).collect();
+    let payloads =
+        vec![frames[0].bytes.clone(), b"not-a-dbgc-stream".to_vec(), frames[1].bytes.clone()];
+    (clouds, frames, payloads)
+}
+
+/// The undecodable frame 1 is acked, counted once and never stored; frames
+/// 0 and 2 are stored with clouds within the bound.
+fn assert_decode_failure_skipped(
+    tenant: &TenantReport,
+    stored: &[StoredFrame],
+    clouds: &[PointCloud],
+    frames: &[CompressedFrame],
+) {
+    assert_eq!(tenant.decode_failures, 1, "frame 1 does not decode");
+    assert_eq!(tenant.durable, vec![0, 2], "the session moved past frame 1");
+    assert_eq!(stored.len(), 2);
+    for ((cloud, stored), frame) in clouds.iter().zip(stored).zip(frames) {
+        let restored = stored.cloud.as_ref().expect("decompressed");
+        dbgc::verify_roundtrip(cloud, restored, frame, 0.02).expect("bound holds");
+    }
+}
+
+#[test]
+fn undecodable_frame_is_acked_counted_and_skipped() {
+    let (clouds, frames, payloads) = stream_with_undecodable_middle();
+    let tenant = deliver(true, 7, payloads);
+    assert_decode_failure_skipped(&tenant, &tenant.resident_frames, &clouds, &frames);
+}
+
+#[test]
+fn undecodable_frame_over_tcp_is_acked_counted_and_skipped() {
+    use dbgc_net::tcp::{TcpConnector, TcpFleetServer, TcpTuning};
+    use std::time::Duration;
+    let (clouds, frames, payloads) = stream_with_undecodable_middle();
+    let mut config = FleetConfig::new(1);
+    config.decompress = true;
+    let server = TcpFleetServer::bind("127.0.0.1:0", config, TcpTuning::fast_test())
+        .expect("bind loopback fleet");
+    let connector = TcpConnector::new(server.local_addr())
+        .with_timeouts(Duration::from_millis(500), Some(Duration::from_millis(500)));
+    let mut client = ResilientClient::new(connector, SessionConfig::fast_test(8));
+    for payload in payloads {
+        client.send_payload(payload).expect("send");
+    }
+    client.finish().expect("finish");
+    let report = server.shutdown();
+    report.fleet.verify_partition().expect("partition holds");
+    let tenant = report.fleet.tenant(8).expect("tenant admitted");
+    let (_, stored) = report.drained.iter().find(|(sid, _)| *sid == 8).expect("session drained");
+    assert_decode_failure_skipped(tenant, stored, &clouds, &frames);
 }
 
 #[test]
