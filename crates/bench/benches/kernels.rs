@@ -1,7 +1,10 @@
-//! Criterion micro-benches for the single-core hot-path kernels: the fused
-//! Fenwick model step, range-coder renormalization, the SoA sparse-stage
-//! loops (organize grid + consensus-windowed radial coding), and the
-//! sorted-key density split (DEN) on one simulator frame.
+//! Criterion micro-benches for the single-core hot-path kernels: the
+//! two-level frequency model step, range-coder renormalization, the SoA
+//! sparse-stage loops (organize grid + segment-consensus radial coding),
+//! and the sorted-key density split (DEN) on one simulator frame. Besides
+//! synthetic inputs, the model and radial kernels also run on the streams
+//! of that frame's compressed form: a 256-symbol varint stream, the
+//! 255-symbol occupancy stream, and the organized sparse groups.
 //!
 //! Besides the human-readable criterion output, a compact second pass writes
 //! `BENCH_kernels.json` (dbgc-metrics v1 snapshot) to the repo root so CI can
@@ -10,14 +13,19 @@
 use std::time::Instant;
 
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
+use dbgc::layout::{group_codec_cfg, parse_header, read_dense, read_group_r_max};
+use dbgc::sparse::codec::decode_group;
 use dbgc::sparse::organize::{organize_sparse_points_with, OrganizeScratch};
-use dbgc::sparse::radial::{encode_radial_into, RadialStreams};
+use dbgc::sparse::radial::{encode_radial, encode_radial_into, RadialStreams};
 use dbgc_clustering::{approx_cluster, ClusterParams};
+use dbgc_codec::intseq::{compress_ints_rc, decompress_ints_rc};
+use dbgc_codec::varint::ByteReader;
 use dbgc_codec::{
     bitpack_decode, bitpack_encode, delta_decode, delta_encode, AdaptiveModel, ContextModel,
     LanedDecoder, LanedEncoder, RangeEncoder,
 };
 use dbgc_geom::{Point3, Spherical};
+use dbgc_octree::Octree;
 
 /// Skewed symbol stream over `alphabet` symbols (residual-like statistics).
 fn skewed_symbols(n: usize, alphabet: usize) -> Vec<usize> {
@@ -136,6 +144,86 @@ fn den_frame() -> (Vec<Point3>, ClusterParams) {
     (cloud.points().to_vec(), dbgc::DbgcConfig::with_error_bound(0.02).cluster_params())
 }
 
+/// A group's quantized polylines with its `(TH_φ, TH_r)`.
+type Group = (Vec<Vec<[i64; 3]>>, i64, i64);
+
+/// Streams of [`den_frame`]'s compressed frame (narrow profile, q = 2 cm).
+struct FrameStreams {
+    /// Every group's radial tail residuals as one rc int frame: the
+    /// 256-symbol lead/continuation varint models, on real statistics.
+    varint: Vec<u8>,
+    /// Raw varint bytes in `varint` (the symbols it decodes).
+    varint_syms: usize,
+    /// Occupancy codes of the frame's dense points, minus 1, range-coded
+    /// through the dense section's 255-symbol model.
+    occupancy: Vec<u8>,
+    occupancy_syms: usize,
+    /// The organized, quantized sparse groups.
+    groups: Vec<Group>,
+    group_points: usize,
+}
+
+fn frame_streams() -> FrameStreams {
+    let (points, _) = den_frame();
+    let cloud = dbgc_geom::PointCloud::from_points(points);
+    let q = 0.02;
+    let bytes = dbgc::Dbgc::with_error_bound(q).compress(&cloud).expect("frame compresses").bytes;
+    let h = parse_header(&bytes).expect("valid header");
+    let mut r = ByteReader::new(&bytes[h.header_len..]);
+    let dense = read_dense(&mut r, &h, h.declared_points).expect("valid dense section").points;
+    let mut groups = Vec::new();
+    for _ in 0..h.n_groups {
+        let (cfg, _) = group_codec_cfg(&h, read_group_r_max(&mut r).expect("valid group"));
+        let lines = decode_group(&mut r, &cfg).expect("valid group");
+        groups.push((lines, cfg.th_phi, cfg.th_r));
+    }
+    let group_points = groups.iter().map(|g| g.0.iter().map(Vec::len).sum::<usize>()).sum();
+
+    let tails: Vec<i64> = groups
+        .iter()
+        .flat_map(|(lines, tp, tr)| encode_radial(lines, *tp, *tr).tail_nabla)
+        .collect();
+    let mut varint = Vec::new();
+    compress_ints_rc(&mut varint, &tails, 1);
+    let mut raw = Vec::new();
+    for &v in &tails {
+        dbgc_codec::varint::write_ivarint(&mut raw, v);
+    }
+
+    let codes = Octree::build(&dense, q).expect("dense points").occupancy_codes();
+    let mut model = AdaptiveModel::new(255);
+    let mut enc = LanedEncoder::new(1);
+    for &(_, code) in &codes {
+        model.encode(&mut enc, code as usize - 1);
+    }
+    FrameStreams {
+        varint,
+        varint_syms: raw.len(),
+        occupancy: enc.finish(),
+        occupancy_syms: codes.len(),
+        groups,
+        group_points,
+    }
+}
+
+fn varint_decode(f: &FrameStreams) -> usize {
+    decompress_ints_rc(&mut ByteReader::new(&f.varint), 1).expect("valid frame").len()
+}
+
+fn occupancy_decode(f: &FrameStreams) -> usize {
+    model_decode(&f.occupancy, f.occupancy_syms, 255, 1)
+}
+
+fn frame_radial_encode(f: &FrameStreams, streams: &mut RadialStreams) -> usize {
+    f.groups
+        .iter()
+        .map(|(lines, tp, tr)| {
+            encode_radial_into(lines, *tp, *tr, streams);
+            streams.tail_nabla.len()
+        })
+        .sum()
+}
+
 const MODEL_SYMS: usize = 1 << 16;
 const RENORM_VALS: usize = 1 << 15;
 const RINGS: usize = 64;
@@ -169,6 +257,15 @@ fn bench_model(c: &mut Criterion) {
             b.iter(|| model_decode(bytes, syms.len(), alphabet, lanes));
         });
     }
+    let frame = frame_streams();
+    g.throughput(Throughput::Elements(frame.varint_syms as u64));
+    g.bench_with_input(BenchmarkId::new("varint_decode", 256), &frame, |b, f| {
+        b.iter(|| varint_decode(f));
+    });
+    g.throughput(Throughput::Elements(frame.occupancy_syms as u64));
+    g.bench_with_input(BenchmarkId::new("occupancy_decode", 255), &frame, |b, f| {
+        b.iter(|| occupancy_decode(f));
+    });
     g.finish();
 }
 
@@ -222,6 +319,11 @@ fn bench_sparse(c: &mut Criterion) {
             black_box(streams.tail_nabla.len())
         });
     });
+    let frame = frame_streams();
+    g.throughput(Throughput::Elements(frame.group_points as u64));
+    g.bench_function("radial_encode_frame", |b| {
+        b.iter(|| black_box(frame_radial_encode(&frame, &mut streams)));
+    });
     g.finish();
 }
 
@@ -273,6 +375,17 @@ fn write_snapshot() {
         collector.set_gauge(gauge, n / s / 1e6);
     }
 
+    let frame = frame_streams();
+    let s = secs_per_call(|| {
+        black_box(varint_decode(&frame));
+    });
+    collector.set_gauge("model.varint_decode.melem_per_s", frame.varint_syms as f64 / s / 1e6);
+    let s = secs_per_call(|| {
+        black_box(occupancy_decode(&frame));
+    });
+    collector
+        .set_gauge("model.occupancy_decode.melem_per_s", frame.occupancy_syms as f64 / s / 1e6);
+
     let resid = residuals(MODEL_SYMS);
     let s = secs_per_call(|| {
         black_box(bitpack_encode(&resid));
@@ -319,6 +432,11 @@ fn write_snapshot() {
         black_box(streams.tail_nabla.len());
     });
     collector.set_gauge("sparse.radial_encode.melem_per_s", points as f64 / s / 1e6);
+    let s = secs_per_call(|| {
+        black_box(frame_radial_encode(&frame, &mut streams));
+    });
+    collector
+        .set_gauge("sparse.radial_encode_frame.melem_per_s", frame.group_points as f64 / s / 1e6);
 
     let (points, params) = den_frame();
     let s = secs_per_call(|| {

@@ -218,3 +218,26 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn gauges(pairs: &[(&str, f64)]) -> BTreeMap<String, f64> {
+        pairs.iter().map(|&(k, v)| (k.to_string(), v)).collect()
+    }
+
+    /// A gauge the baseline lacks (a kernel bench added since it was
+    /// taken) is reported, never gated; a known gauge still is.
+    #[test]
+    fn new_gauges_are_reported_not_gated() {
+        let baseline = gauges(&[("model.decode.melem_per_s", 30.0)]);
+        let current = gauges(&[
+            ("model.decode.melem_per_s", 29.0),
+            ("model.varint_decode.melem_per_s", 0.001),
+        ]);
+        assert!(check_kernels(&current, &baseline).is_ok());
+        let regressed = gauges(&[("model.decode.melem_per_s", 20.0)]);
+        assert!(check_kernels(&regressed, &baseline).is_err());
+    }
+}

@@ -197,9 +197,15 @@ pub fn deflate_decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
                     });
                 }
                 let start = out.len() - d;
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
+                if d >= len {
+                    // The match ends before the output does: one copy.
+                    out.extend_from_within(start..start + len);
+                } else {
+                    // An overlapping run extension reads bytes it writes.
+                    for k in 0..len {
+                        let b = out[start + k];
+                        out.push(b);
+                    }
                 }
             }
             _ => {
@@ -273,6 +279,23 @@ mod tests {
             (0..10_000u32).map(|i| (i.wrapping_mul(2654435761) >> 11) as u8).collect();
         let size = roundtrip(&data);
         assert!(size < data.len() + 1200, "compressed to {size} bytes");
+    }
+
+    /// Matches copied in one call (distance ≥ length) and overlapping run
+    /// extensions (distance < length) both decode to the input.
+    #[test]
+    fn overlapping_and_disjoint_matches_decode() {
+        let block: Vec<u8> =
+            (0..300u32).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
+        let data = [block.clone(), vec![7u8; 1000], block, b"abcabcabcabcabc".to_vec()].concat();
+        let tokens = lz77_tokenize(&data);
+        let has = |overlap: bool| {
+            tokens
+                .iter()
+                .any(|t| matches!(*t, Token::Match { len, dist } if (dist < len) == overlap))
+        };
+        assert!(has(true) && has(false), "data must exercise both copy paths");
+        roundtrip(&data);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! SIMD kernels with mandatory scalar fallbacks.
 //!
 //! The batch hot loops of the codec — zigzag transform + OR-fold width scan
-//! in [`crate::bitpack`], frequency halving in the Fenwick rescale
+//! in [`crate::bitpack`], count halving in the model's rescale
 //! ([`crate::model`]), and the radial-delta transform ([`crate::delta`]) —
 //! funnel through the free functions here. Each has exactly one semantic: the
 //! scalar implementation. On `x86_64` an AVX2 path is dispatched at run time
@@ -88,7 +88,7 @@ fn zigzag_decode_block_scalar(src: &[u64], dst: &mut [i64]) {
     }
 }
 
-// ---- Fenwick rescale halving --------------------------------------------
+// ---- model rescale halving ----------------------------------------------
 
 /// Ceil-halve every frequency (`(f >> 1) + (f & 1)` per `u32` slot) in place
 /// and return the sum of the halved values. Frequencies `>= 1` stay `>= 1`.

@@ -1,15 +1,16 @@
-//! Differential equivalence: the fused-Fenwick hot-path kernels must be
-//! bit-for-bit interchangeable with the straightforward implementations they
-//! replaced.
+//! Differential equivalence: the hot-path kernels (the two-level frequency
+//! model, the carryless range coder, batched bit I/O) must be bit-for-bit
+//! interchangeable with the straightforward implementations they replaced.
 //!
 //! The `reference` module below is a deliberately naive transliteration of
-//! the pre-optimization coder: three separate Fenwick traversals per symbol
-//! (`cum`, `freq`, `find`), an allocate-and-rebuild `rescale`, a plain
+//! the pre-optimization coder: a Fenwick tree walked three separate times per
+//! symbol (`cum`, `freq`, `find`), an allocate-and-rebuild `rescale`, a plain
 //! division per `encode`/`decode` call, and a `ContextModel` that banks whole
 //! `AdaptiveModel`s. Property tests drive both implementations with the same
 //! random symbol streams and assert identical bytes out of the encoders and
 //! identical symbols out of the decoders — including streams long enough to
-//! cross the `MAX_TOTAL` rescale boundary several times.
+//! cross the `MAX_TOTAL` rescale boundary several times, at every alphabet
+//! the codec ships (4, 15, 255, 256) as well as small random ones.
 
 use dbgc_codec::{AdaptiveModel, BitReader, BitWriter, ContextModel, RangeDecoder, RangeEncoder};
 use dbgc_codec::{LanedDecoder, LanedEncoder};
@@ -112,11 +113,14 @@ mod reference {
         tree: Vec<u64>,
         n: usize,
         total: u64,
+        /// Rescales so far (lets tests check a stream crosses the boundary).
+        pub rescales: usize,
     }
 
     impl RefModel {
         pub fn new(alphabet: usize) -> Self {
-            let mut m = RefModel { tree: vec![0; alphabet + 1], n: alphabet, total: 0 };
+            let mut m =
+                RefModel { tree: vec![0; alphabet + 1], n: alphabet, total: 0, rescales: 0 };
             for s in 0..alphabet {
                 m.add(s, 1);
             }
@@ -164,6 +168,7 @@ mod reference {
         fn update(&mut self, sym: usize) {
             self.add(sym, INCREMENT);
             if self.total >= MAX_TOTAL {
+                self.rescales += 1;
                 let freqs: Vec<u64> =
                     (0..self.n).map(|s| self.freq(s).div_ceil(2).max(1)).collect();
                 self.tree.iter_mut().for_each(|v| *v = 0);
@@ -555,5 +560,133 @@ proptest! {
                 (f, n) => prop_assert!(false, "EOF divergence: fast {f:?} vs naive {n:?}"),
             }
         }
+    }
+}
+
+/// The alphabets the codec ships: `L_ref` (4), quadtree codes (15), octree
+/// occupancy codes (255) and varint bytes (256).
+const SHIPPED_ALPHABETS: [usize; 4] = [4, 15, 255, 256];
+
+/// Varint-shaped values: mostly small residuals, some mid-sized, some huge,
+/// so lead bytes spread over the whole byte range and continuation bytes
+/// are plentiful.
+fn varint_values(raw: &[(u32, u8)]) -> Vec<i64> {
+    raw.iter()
+        .map(|&(r, class)| match class {
+            0 | 1 => (r % 64) as i64 - 32,
+            2 => (r % 20_000) as i64 - 10_000,
+            _ => (r as i64 - (1 << 31)) * 1000,
+        })
+        .collect()
+}
+
+/// Octree-occupancy-shaped `(parent code, code − 1)` pairs: a code's parent
+/// is the previous code, and single-child codes dominate.
+fn occupancy_stream(raw: &[(u8, u8)]) -> Vec<(usize, usize)> {
+    let mut parent = 255usize;
+    raw.iter()
+        .map(|&(r, kind)| {
+            let code = if kind < 3 { 1usize << (r % 8) } else { r.max(1) as usize };
+            let pair = (parent, code - 1);
+            parent = code;
+            pair
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Every shipped alphabet, through the range coder: same bytes, same
+    /// symbols, across at least one rescale.
+    #[test]
+    fn shipped_alphabets_are_byte_equivalent(
+        pick in 0usize..4,
+        syms in arb_symbols(256, 6000),
+        pad in 2100usize..2400,
+    ) {
+        let alphabet = SHIPPED_ALPHABETS[pick];
+        let mut syms: Vec<usize> = syms.into_iter().map(|s| s % alphabet).collect();
+        syms.extend((0..pad).map(|i| (i * 7) % alphabet));
+        let (opt_bytes, ref_bytes) = encode_both(alphabet, &syms);
+        prop_assert_eq!(&opt_bytes, &ref_bytes, "alphabet {} bytes diverge", alphabet);
+        let (opt_syms, ref_syms) = decode_both(alphabet, &opt_bytes, syms.len());
+        prop_assert_eq!(&opt_syms, &syms);
+        prop_assert_eq!(&ref_syms, &syms);
+    }
+
+    /// The varint-byte streams `intseq` codes: lead and continuation bytes
+    /// through two 256-symbol models sharing one coder, each model long
+    /// enough to rescale at least three times.
+    #[test]
+    fn varint_byte_streams_are_byte_equivalent(
+        raw in proptest::collection::vec((any::<u32>(), 0u8..4), 9000..10_000),
+    ) {
+        let mut bytes = Vec::new();
+        for v in varint_values(&raw) {
+            dbgc_codec::varint::write_ivarint(&mut bytes, v);
+        }
+        // (is continuation, byte) in stream order.
+        let mut stream = Vec::with_capacity(bytes.len());
+        let mut at_lead = true;
+        for &b in &bytes {
+            stream.push((!at_lead, b as usize));
+            at_lead = b & 0x80 == 0;
+        }
+        let (mut lead, mut cont) = (AdaptiveModel::new(256), AdaptiveModel::new(256));
+        let mut enc = RangeEncoder::new();
+        let mut refs = [reference::RefModel::new(256), reference::RefModel::new(256)];
+        let mut ref_enc = reference::RefEncoder::new();
+        for &(is_cont, b) in &stream {
+            if is_cont { cont.encode(&mut enc, b) } else { lead.encode(&mut enc, b) }
+            refs[is_cont as usize].encode(&mut ref_enc, b);
+        }
+        prop_assert!(refs.iter().all(|m| m.rescales >= 3), "rescales {:?}", refs.map(|m| m.rescales));
+        let opt_bytes = enc.finish();
+        prop_assert_eq!(&opt_bytes, &ref_enc.finish(), "varint stream bytes diverge");
+
+        let (mut lead, mut cont) = (AdaptiveModel::new(256), AdaptiveModel::new(256));
+        let mut dec = RangeDecoder::new(&opt_bytes);
+        let mut refs = [reference::RefModel::new(256), reference::RefModel::new(256)];
+        let mut ref_dec = reference::RefDecoder::new(&opt_bytes);
+        for &(is_cont, b) in &stream {
+            let got = if is_cont { cont.decode(&mut dec) } else { lead.decode(&mut dec) };
+            prop_assert_eq!(got.expect("valid stream"), b);
+            prop_assert_eq!(refs[is_cont as usize].decode(&mut ref_dec), b);
+        }
+    }
+
+    /// Occupancy codes under their parent's context, as the Octree_i coder
+    /// sends them: `ContextModel::new(256, 255)` against a bank of
+    /// reference models, and the context-free 255-symbol model.
+    #[test]
+    fn occupancy_streams_are_byte_equivalent(
+        raw in proptest::collection::vec((any::<u8>(), 0u8..4), 6000..8000),
+    ) {
+        let stream = occupancy_stream(&raw);
+        let mut opt_model = ContextModel::new(256, 255);
+        let mut opt_enc = RangeEncoder::new();
+        let mut ref_model = reference::RefContextModel::new(256, 255);
+        let mut ref_enc = reference::RefEncoder::new();
+        for &(c, s) in &stream {
+            opt_model.encode(&mut opt_enc, c, s);
+            ref_model.encode(&mut ref_enc, c, s);
+        }
+        let opt_bytes = opt_enc.finish();
+        prop_assert_eq!(&opt_bytes, &ref_enc.finish(), "occupancy bytes diverge");
+        let mut opt_model = ContextModel::new(256, 255);
+        let mut opt_dec = RangeDecoder::new(&opt_bytes);
+        let mut ref_model = reference::RefContextModel::new(256, 255);
+        let mut ref_dec = reference::RefDecoder::new(&opt_bytes);
+        for &(c, s) in &stream {
+            prop_assert_eq!(opt_model.decode(&mut opt_dec, c).expect("valid stream"), s);
+            prop_assert_eq!(ref_model.decode(&mut ref_dec, c), s);
+        }
+
+        let syms: Vec<usize> = stream.iter().map(|&(_, s)| s).collect();
+        let (opt_bytes, ref_bytes) = encode_both(255, &syms);
+        prop_assert_eq!(&opt_bytes, &ref_bytes, "context-free occupancy bytes diverge");
+        let (opt_syms, _) = decode_both(255, &opt_bytes, syms.len());
+        prop_assert_eq!(&opt_syms, &syms);
     }
 }

@@ -80,7 +80,7 @@ impl Drop for Span {
             start_ns,
             end_ns: end_ns.max(start_ns),
         };
-        inner.spans.lock().expect("spans lock").push(record);
+        self.collector.keep_span(record);
     }
 }
 
