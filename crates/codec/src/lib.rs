@@ -21,7 +21,7 @@
 //! * [`simd`] — `core::arch` AVX2 helpers, picked at run time, with
 //!   mandatory scalar fallbacks, used by the batch bitpack/delta kernels;
 //! * [`model`] — adaptive frequency models (order-0 and contextual) backed by
-//!   Fenwick trees;
+//!   two-level count tables (per-symbol counts plus 16-symbol block sums);
 //! * [`huffman`] — canonical Huffman coding;
 //! * [`lz77`] — LZ77 with hash-chain match search;
 //! * [`deflate`] — LZ77 + two canonical Huffman tables, a deflate-like
