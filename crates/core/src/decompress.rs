@@ -80,10 +80,7 @@ fn decompress_impl(
     // ---- dense section ----------------------------------------------------
     let stage = root.as_ref().map(|s| s.child("oct"));
     let t = Instant::now();
-    let dense = read_dense(&mut r, &h, declared_points)?;
-    for p in dense.points {
-        cloud.push(p);
-    }
+    cloud.extend(read_dense(&mut r, &h, declared_points)?.points);
     stats.oct = t.elapsed();
     drop(stage);
 
@@ -109,9 +106,7 @@ fn decompress_impl(
     // ---- outliers --------------------------------------------------------------
     let stage = root.as_ref().map(|s| s.child("out"));
     let t = Instant::now();
-    for p in decode_outliers(&mut r, h.q_xyz, declared_points - cloud.len())? {
-        cloud.push(p);
-    }
+    cloud.extend(decode_outliers(&mut r, h.q_xyz, declared_points - cloud.len())?);
     stats.out = t.elapsed();
     drop(stage);
 

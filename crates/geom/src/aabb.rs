@@ -127,6 +127,7 @@ impl BoundingCube {
     }
 
     /// Centre of the leaf cell with integer coordinates `(ix, iy, iz)` at `depth`.
+    #[inline]
     pub fn cell_center(&self, cell: (u64, u64, u64), depth: u32) -> Point3 {
         let side = self.side / (1u64 << depth) as f64;
         Point3::new(
@@ -201,6 +202,7 @@ impl Rect2 {
     }
 
     /// Centre of cell `(ix, iy)` at `depth`.
+    #[inline]
     pub fn cell_center(&self, cell: (u64, u64), depth: u32) -> (f64, f64) {
         let side = self.side / (1u64 << depth) as f64;
         (self.min_x + (cell.0 as f64 + 0.5) * side, self.min_y + (cell.1 as f64 + 0.5) * side)

@@ -258,6 +258,12 @@ impl FromIterator<Point3> for PointCloud {
     }
 }
 
+impl Extend<Point3> for PointCloud {
+    fn extend<I: IntoIterator<Item = Point3>>(&mut self, iter: I) {
+        self.points.extend(iter);
+    }
+}
+
 impl Index<usize> for PointCloud {
     type Output = Point3;
     fn index(&self, i: usize) -> &Point3 {

@@ -110,6 +110,7 @@ impl SphericalQuant {
     }
 
     /// Reconstruct a spherical point from integer grid coordinates.
+    #[inline]
     pub fn dequantize(&self, q: [i64; 3]) -> Spherical {
         Spherical::new(
             dequantize(q[0], self.angle_step()),

@@ -19,6 +19,7 @@ pub struct Spherical {
 
 impl Spherical {
     /// A spherical point from its components.
+    #[inline]
     pub const fn new(theta: f64, phi: f64, r: f64) -> Self {
         Spherical { theta, phi, r }
     }
@@ -38,7 +39,14 @@ impl Spherical {
 
     /// Convert back to Cartesian coordinates.
     pub fn to_cartesian(self) -> Point3 {
-        let (sin_phi, cos_phi) = self.phi.sin_cos();
+        self.to_cartesian_with(self.phi.sin_cos())
+    }
+
+    /// [`Spherical::to_cartesian`] given `self.phi.sin_cos()`, so a caller
+    /// converting a run of points that share `φ` computes it once. The
+    /// result is bit-identical.
+    #[inline]
+    pub fn to_cartesian_with(self, (sin_phi, cos_phi): (f64, f64)) -> Point3 {
         let (sin_theta, cos_theta) = self.theta.sin_cos();
         Point3::new(self.r * sin_phi * cos_theta, self.r * sin_phi * sin_theta, self.r * cos_phi)
     }
