@@ -128,6 +128,29 @@ impl<'a> BitReader<'a> {
         Ok(bit != 0)
     }
 
+    /// The next `n <= 24` bits MSB-first without consuming them, zero-padded
+    /// past the end of the buffer, with how many of them the buffer holds.
+    #[inline]
+    pub fn peek_bits(&self, n: u32) -> (u32, u32) {
+        debug_assert!((1..=24).contains(&n));
+        let byte = self.pos / 8;
+        let window = match self.buf.get(byte..byte + 4) {
+            Some(w) => u32::from_be_bytes([w[0], w[1], w[2], w[3]]),
+            None => {
+                (0..4).fold(0, |w, k| w << 8 | u32::from(*self.buf.get(byte + k).unwrap_or(&0)))
+            }
+        };
+        let bits = (window << (self.pos % 8)) >> (32 - n);
+        let held = (self.buf.len() * 8).saturating_sub(self.pos).min(n as usize) as u32;
+        (bits, held)
+    }
+
+    /// Consume `n` bits a [`BitReader::peek_bits`] reported as held.
+    #[inline]
+    pub fn skip_bits(&mut self, n: u32) {
+        self.pos += n as usize;
+    }
+
     /// Read `n` bits MSB-first into the low bits of the result. `n <= 64`.
     pub fn read_bits(&mut self, n: u32) -> Result<u64, CodecError> {
         debug_assert!(n <= 64);
@@ -232,6 +255,24 @@ impl<'a> BitReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn peek_matches_reads_and_pads_past_the_end() {
+        let buf = [0b1011_0010u8, 0xFF, 0x00, 0x5A, 0xC3];
+        for start in 0..=40 {
+            for n in 1..=24 {
+                let mut r = BitReader::new(&buf);
+                r.skip_bits(start);
+                let (bits, held) = r.peek_bits(n);
+                assert_eq!(held as usize, (40 - start as usize).min(n as usize));
+                let mut want = 0u32;
+                for _ in 0..n {
+                    want = want << 1 | u32::from(r.read_bit().unwrap_or(false));
+                }
+                assert_eq!(bits, want, "{n} bits at {start}");
+            }
+        }
+    }
 
     #[test]
     fn roundtrip_single_bits() {

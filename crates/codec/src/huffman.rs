@@ -171,7 +171,17 @@ pub struct HuffmanDecoder {
     /// Symbols sorted canonically (by length, then symbol).
     symbols: Vec<usize>,
     max_len: u32,
+    /// Width of the lookup index: `max_len`, at most [`LOOKUP_BITS`].
+    lookup_bits: u32,
+    /// For each `lookup_bits`-bit prefix, `symbol << 8 | length` of the code
+    /// it starts with, or 0 when that code is longer than `lookup_bits` (or
+    /// no code starts with it).
+    lookup: Vec<u32>,
 }
+
+/// Widest prefix the table-driven decode looks up: 1,024 entries, so the
+/// short codes that carry most symbols decode in one step.
+const LOOKUP_BITS: u32 = 10;
 
 impl HuffmanDecoder {
     /// Deserialize a table written by [`HuffmanEncoder::write_table`].
@@ -217,11 +227,52 @@ impl HuffmanDecoder {
             first_index[l] = index;
             index += counts[l] as usize;
         }
-        Ok(HuffmanDecoder { first_code, first_index, counts, symbols, max_len })
+        // Every code no longer than the lookup width fills the entries of
+        // the prefixes it starts.
+        let lookup_bits = max_len.min(LOOKUP_BITS);
+        let mut lookup = vec![0u32; 1 << lookup_bits];
+        for l in 1..=lookup_bits {
+            let li = l as usize;
+            for k in 0..counts[li] {
+                let sym = symbols[first_index[li] + k as usize] as u32;
+                let at = ((first_code[li] + k) << (lookup_bits - l)) as usize;
+                lookup[at..at + (1 << (lookup_bits - l))].fill(sym << 8 | l);
+            }
+        }
+        Ok(HuffmanDecoder {
+            first_code,
+            first_index,
+            counts,
+            symbols,
+            max_len,
+            lookup_bits,
+            lookup,
+        })
     }
 
     /// Decode one symbol, reading bits as needed.
+    ///
+    /// A code no longer than the lookup width that the input holds whole
+    /// is found in one table step; anything else (a longer code, a prefix
+    /// no code starts, input ending mid-code) takes the bit-by-bit walk.
+    /// The codes are prefix-free and canonical, so both find the same
+    /// symbol and consume the same bits, and the walk reports every error.
+    #[inline]
     pub fn decode(&self, r: &mut BitReader<'_>) -> Result<usize, CodecError> {
+        if self.lookup_bits > 0 {
+            let (bits, held) = r.peek_bits(self.lookup_bits);
+            let entry = self.lookup[bits as usize];
+            let len = entry & 0xFF;
+            if len != 0 && len <= held {
+                r.skip_bits(len);
+                return Ok((entry >> 8) as usize);
+            }
+        }
+        self.decode_bitwise(r)
+    }
+
+    /// The bit-by-bit canonical decode behind [`HuffmanDecoder::decode`].
+    fn decode_bitwise(&self, r: &mut BitReader<'_>) -> Result<usize, CodecError> {
         if self.symbols.is_empty() {
             return Err(CodecError::InvalidHuffmanTable);
         }
@@ -320,6 +371,42 @@ mod tests {
                 let (cb, lb) = enc.codes[b];
                 if la <= lb {
                     assert_ne!(ca, cb >> (lb - la), "code {a} is a prefix of {b}");
+                }
+            }
+        }
+    }
+
+    /// The table-driven decode agrees with the bit-by-bit walk — symbol or
+    /// error, and bits consumed — on complete and incomplete tables, a
+    /// one-code table and codes longer than the lookup width, over random
+    /// input of every length up to 40 bytes (so codes cut off at the end).
+    #[test]
+    fn lookup_decode_matches_bitwise_walk() {
+        let tables: [Vec<u32>; 5] = [
+            vec![1, 2, 3, 3],
+            vec![2, 2, 3],
+            vec![1],
+            (1..=14).chain([14]).collect(),
+            vec![0, 4, 0, 5, 5, 3, 7, 12],
+        ];
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        for lengths in &tables {
+            let dec = HuffmanDecoder::from_lengths(lengths).unwrap();
+            for len in 0..40 {
+                let buf: Vec<u8> = (0..len)
+                    .map(|_| {
+                        seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                        (seed >> 56) as u8
+                    })
+                    .collect();
+                let (mut fast, mut walk) = (BitReader::new(&buf), BitReader::new(&buf));
+                loop {
+                    let got = dec.decode(&mut fast);
+                    assert_eq!(got, dec.decode_bitwise(&mut walk), "{lengths:?}, {len} bytes");
+                    assert_eq!(fast.bit_pos(), walk.bit_pos(), "{lengths:?}, {len} bytes");
+                    if got.is_err() {
+                        break;
+                    }
                 }
             }
         }

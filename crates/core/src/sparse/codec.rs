@@ -189,14 +189,15 @@ pub fn decode_group_with_limit(
     let mut lines: Vec<Vec<[i64; 3]>> = Vec::with_capacity(n_lines);
     let mut t = 0usize;
     for li in 0..n_lines {
-        let len = lengths[li] as usize;
-        let mut line = Vec::with_capacity(len);
-        line.push([heads_c1[li], heads_c2[li], 0]);
-        for _ in 1..len {
-            let prev = *line.last().expect("line non-empty");
-            line.push([prev[0] + tails_c1[t], prev[1] + tails_c2[t], 0]);
-            t += 1;
+        let tail = lengths[li] as usize - 1;
+        let mut line = Vec::with_capacity(tail + 1);
+        let mut p = [heads_c1[li], heads_c2[li], 0];
+        line.push(p);
+        for (&d1, &d2) in tails_c1[t..t + tail].iter().zip(&tails_c2[t..t + tail]) {
+            p = [p[0] + d1, p[1] + d2, 0];
+            line.push(p);
         }
+        t += tail;
         lines.push(line);
     }
 
