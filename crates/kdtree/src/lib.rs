@@ -229,8 +229,9 @@ impl KdTreeCodec {
                 continue;
             }
             let total = task.n as u64 + 1;
-            let n_left = dec.decode_freq(total)?;
-            dec.decode(n_left, 1, total);
+            let (off, r) = dec.decode_target(total)?;
+            let n_left = off / r;
+            dec.decode_with(n_left, 1, total, r);
             let n_left = n_left as usize;
 
             let half_bits = task.bits[axis] - 1;
