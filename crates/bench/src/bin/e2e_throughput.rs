@@ -48,7 +48,7 @@ const FPS: f64 = 10.0;
 
 /// Worker counts for the frame-pipelined runs, derived from the cores this
 /// process actually has: {2, 4, cores} clipped to the machine, deduplicated,
-/// ascending. A single-core host measures [1] — truthfully.
+/// ascending. A single-core host measures `[1]` — truthfully.
 fn derived_worker_counts(cores: usize) -> Vec<usize> {
     let mut counts: Vec<usize> = [2, 4, cores].iter().map(|&w| w.min(cores)).collect();
     counts.sort_unstable();

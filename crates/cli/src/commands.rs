@@ -138,15 +138,18 @@ pub fn execute(command: Command, out: &mut impl Write) -> Result<(), CliError> {
             let bytes = std::fs::read(&input)?;
             let mut store = dbgc_store::FrameStore::new();
             store.ingest(bytes, 0).map_err(|e| CliError::Invalid(e.to_string()))?;
-            let indexed = store.frames()[0].has_index();
             let res = store.query(&query).map_err(|e| CliError::Invalid(e.to_string()))?;
-            writeln!(
-                out,
-                "{}: {} matching points ({})",
-                input.display(),
-                res.points.len(),
-                if indexed { "partial decode" } else { "full decode, no index" }
-            )?;
+            // The one frame took exactly one path; name the one it took.
+            let path = if res.frames_partial > 0 {
+                "partial decode"
+            } else if res.frames_fallback > 0 {
+                "full decode, index fallback"
+            } else if res.frames_pruned > 0 {
+                "pruned, nothing decoded"
+            } else {
+                "full decode, no index"
+            };
+            writeln!(out, "{}: {} matching points ({path})", input.display(), res.points.len())?;
             writeln!(
                 out,
                 "  bytes touched {} / {} ({:.1}%)",
@@ -387,6 +390,22 @@ mod tests {
         // `query` with no predicates returns everything.
         let report_all = run_str(&format!("query {}", indexed.display()));
         assert!(report_all.contains("5000 matching points"), "{report_all}");
+
+        // A box the frame's bounds miss decodes nothing.
+        let report = run_str(&format!("query {} --aabb 90,90,90,91,91,91", indexed.display()));
+        assert!(report.contains("0 matching points (pruned"), "{report}");
+
+        // A corrupt trailer is not "no index": the fallback answered.
+        let mut bytes = std::fs::read(&indexed).unwrap();
+        // The payload's last byte: the CRC, length, version and magic after
+        // it take 13 bytes.
+        let last = bytes.len() - 14;
+        bytes[last] ^= 0x10;
+        let corrupt = tmp("query_corrupt.dbgc");
+        std::fs::write(&corrupt, bytes).unwrap();
+        let report = run_str(&format!("query {} --aabb 20,-9,-3,26,9,0", corrupt.display()));
+        assert!(report.contains("full decode, index fallback"), "{report}");
+        assert!(report.contains(&format!(": {} matching points", hits.len())), "{report}");
     }
 
     #[test]

@@ -1,22 +1,18 @@
 //! The DBGC decompressor (paper §3.7, Fig. 2 server side).
 //!
-//! Splits the bitstream into its three sections, decodes each with the
-//! matching decompressor, converts polyline points back from spherical to
-//! Cartesian coordinates, and concatenates:
+//! Finds the bitstream's sections and walks them with
+//! [`layout::decode_body`](crate::layout::decode_body), which decodes each
+//! with the matching decompressor and converts polyline points back from
+//! spherical to Cartesian coordinates, into one cloud:
 //! `[dense | group 0 polylines | … | group N−1 polylines | outliers]`.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use dbgc_codec::varint::ByteReader;
 use dbgc_geom::PointCloud;
 use dbgc_metrics::Collector;
 
 use crate::index::{split_index_trailer, IndexTrailer};
-use crate::layout::{
-    group_codec_cfg, parse_header, push_dequantized, read_dense, read_group_r_max,
-};
-use crate::outlier::decode_outliers;
-use crate::sparse::codec::decode_group_with_limit;
+use crate::layout::{decode_body, parse_header, section_spans};
 use crate::DbgcError;
 
 /// Decompression timing, mirroring the compression breakdown of Fig. 13.
@@ -61,61 +57,19 @@ fn decompress_impl(
 ) -> Result<(PointCloud, DecompressStats), DbgcError> {
     let root = m.map(|c| c.span("decompress"));
     // A CRC-valid index trailer is metadata for archive queries, not point
-    // data: strip it before the sequential walk so index-aware streams
-    // decode to exactly the cloud their index-less body encodes. Corrupt or
-    // absent trailers leave the input untouched (a genuinely index-less
-    // stream must not lose tail bytes to a magic coincidence).
+    // data: strip it before the walk so index-aware streams decode to
+    // exactly the cloud their index-less body encodes. Corrupt or absent
+    // trailers leave the input untouched (a genuinely index-less stream must
+    // not lose tail bytes to a magic coincidence).
     let body = match split_index_trailer(bytes) {
         IndexTrailer::Valid { body, .. } => body,
         _ => bytes,
     };
     let h = parse_header(body)?;
-    let mut r = ByteReader::new(&body[h.header_len..]);
-    let declared_points = h.declared_points;
-
-    let mut stats = DecompressStats::default();
+    let spans = section_spans(body, &h)?;
     // Reservation is clamped; growth beyond it is paced by actual decode.
-    let mut cloud = PointCloud::with_capacity(declared_points.min(1 << 20));
-
-    // ---- dense section ----------------------------------------------------
-    let stage = root.as_ref().map(|s| s.child("oct"));
-    let t = Instant::now();
-    cloud.extend(read_dense(&mut r, &h, declared_points)?.points);
-    stats.oct = t.elapsed();
-    drop(stage);
-
-    // ---- sparse groups ------------------------------------------------------
-    for _ in 0..h.n_groups {
-        let r_max = read_group_r_max(&mut r)?;
-        let stage = root.as_ref().map(|s| s.child("spa"));
-        let t = Instant::now();
-        let (codec_cfg, sq) = group_codec_cfg(&h, r_max);
-        // Per-group budget: whatever the frame has left, so a group whose
-        // declared lengths exceed the remainder fails before materializing.
-        let lines = decode_group_with_limit(&mut r, &codec_cfg, declared_points - cloud.len())?;
-        stats.spa += t.elapsed();
-        drop(stage);
-
-        let stage = root.as_ref().map(|s| s.child("cor"));
-        let t = Instant::now();
-        push_dequantized(&lines, sq.as_ref(), h.q_xyz, &mut cloud);
-        stats.cor += t.elapsed();
-        drop(stage);
-    }
-
-    // ---- outliers --------------------------------------------------------------
-    let stage = root.as_ref().map(|s| s.child("out"));
-    let t = Instant::now();
-    cloud.extend(decode_outliers(&mut r, h.q_xyz, declared_points - cloud.len())?);
-    stats.out = t.elapsed();
-    drop(stage);
-
-    if cloud.len() != declared_points {
-        return Err(DbgcError::BadHeader("decoded point count mismatch"));
-    }
-    if !r.is_empty() {
-        return Err(DbgcError::BadHeader("trailing bytes after stream"));
-    }
+    let mut cloud = PointCloud::with_capacity(h.declared_points.min(1 << 20));
+    let stats = decode_body(body, &h, &spans, &mut cloud, root.as_ref())?;
     if let Some(c) = m {
         c.incr("decompress.frames", 1);
         c.incr("decompress.points_out", cloud.len() as u64);
@@ -172,7 +126,7 @@ pub fn inspect(bytes: &[u8]) -> Result<StreamInfo, DbgcError> {
         _ => bytes,
     };
     let h = parse_header(body)?;
-    let spans = crate::layout::section_spans(body, &h)?;
+    let spans = section_spans(body, &h)?;
     Ok(StreamInfo {
         q_xyz: h.q_xyz,
         spherical: h.spherical,
@@ -285,6 +239,23 @@ mod tests {
         let frame = Dbgc::with_error_bound(0.02).compress(&cloud).unwrap();
         let info = inspect(&frame.bytes).unwrap();
         assert!(info.dense_bytes + info.sparse_bytes + info.outlier_bytes <= info.total_bytes);
+    }
+
+    #[test]
+    fn radial_flag_on_a_cartesian_stream_changes_nothing() {
+        // A Cartesian group has no radial frames whatever the flag byte
+        // says, so the section walk must frame it as the group decoder
+        // reads it.
+        let cloud = ring_cloud(1000);
+        let cfg = crate::DbgcConfig::with_error_bound(0.05).without_conversion();
+        let frame = Dbgc::new(cfg).compress(&cloud).unwrap();
+        assert!(inspect(&frame.bytes).unwrap().sparse_bytes > 0);
+        let mut flagged = frame.bytes.clone();
+        flagged[4 + 1 + 4 * 8] |= 0b10; // magic, version, four f64s, flags
+        assert!(inspect(&flagged).unwrap().radial);
+        let (a, _) = decompress(&frame.bytes).unwrap();
+        let (b, _) = decompress(&flagged).unwrap();
+        assert_eq!(a.points(), b.points());
     }
 
     #[test]

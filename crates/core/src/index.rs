@@ -28,7 +28,7 @@ use dbgc_codec::crc32::crc32;
 use dbgc_codec::varint::{write_f64, write_uvarint, ByteReader};
 use dbgc_geom::{Aabb, Point3};
 
-use crate::DbgcError;
+use crate::{DbgcError, SectionSpans};
 
 /// Version of the directory payload format.
 pub const INDEX_VERSION: u8 = 1;
@@ -111,6 +111,16 @@ impl SpatialDirectory {
         }
         fold(&self.outlier.aabb);
         acc
+    }
+
+    /// The byte spans of the body's sections, as the directory records them.
+    pub fn spans(&self) -> SectionSpans {
+        let span = |e: &SectionEntry| e.offset..e.offset + e.len;
+        SectionSpans {
+            dense: span(&self.dense),
+            groups: self.groups.iter().map(|g| span(&g.section)).collect(),
+            outlier: span(&self.outlier),
+        }
     }
 
     /// Serialize the directory payload (without the trailer frame).

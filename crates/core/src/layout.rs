@@ -1,26 +1,31 @@
-//! Structural stream layout: header parsing, section spans, and
-//! section-granular decode helpers.
+//! The stream layout and its one decoder.
 //!
-//! The decompressor consumes a stream sequentially, but every section is
-//! independently decodable given its byte span: the dense octree section is
-//! length-prefixed, each sparse group starts with its `r_max` and contains
-//! only self-delimiting frames, and the outlier section is tagged and
-//! self-delimiting. This module exposes that structure so partial decoders
-//! (see the `dbgc-store` crate) can seek straight to the sections a query
-//! needs, re-initialising entropy-coder state per section, while
-//! [`decompress`](crate::decompress()) reuses the same helpers for its
-//! sequential walk — one implementation, byte-identical results.
+//! A stream body is a header and then its sections, in this order: the
+//! dense octree, one section per sparse group, and the outliers. Each
+//! section decodes on its own from its byte span, with fresh entropy-coder
+//! state: the dense section is length-prefixed, a group starts with its
+//! `r_max` and holds only self-delimiting frames, and the outlier section is
+//! tagged and self-delimiting. [`section_spans`] finds the spans by reading
+//! lengths only. [`decode_body`] walks them in order and hands every decoded
+//! point to a [`PointSink`], which chooses per section whether to decode it
+//! and with what point budget. That one walk serves
+//! [`decompress`](crate::decompress()) (every section, into a cloud) and the
+//! `dbgc-store` crate's annotated reference decode and partial decode (only
+//! the sections a query cannot rule out).
 
 use std::ops::Range;
+
+use std::time::Instant;
 
 use dbgc_codec::varint::{write_f64, write_uvarint, ByteReader};
 use dbgc_geom::quant::SphericalQuant;
 use dbgc_geom::{Point3, PointCloud};
+use dbgc_metrics::Span;
 use dbgc_octree::{OctreeCodec, OctreeDecodeResult};
 
 use crate::outlier::decode_outliers;
 use crate::sparse::codec::{decode_group_with_limit, GroupCodecConfig};
-use crate::{DbgcConfig, DbgcError, EntropyProfile};
+use crate::{DbgcConfig, DbgcError, DecompressStats, EntropyProfile};
 
 /// Farthest a point may lie from the origin, in metres. The encoder refuses
 /// clouds with a point beyond it, and the decoder refuses a group `r_max`
@@ -179,8 +184,10 @@ pub fn section_spans(body: &[u8], h: &StreamHeader) -> Result<SectionSpans, Dbgc
     let dense = dense_start..base + r.position();
 
     // Sparse groups: r_max + frames. Frames are self-delimiting
-    // (count | raw_len | coded_len | payload); skip by reading lengths.
-    let frames_per_group = 5 + if h.radial { 3 } else { 2 };
+    // (count | raw_len | coded_len | payload); skip by reading lengths. A
+    // Cartesian group has no radial frames whatever the radial flag says,
+    // as in `group_codec_cfg`.
+    let frames_per_group = 5 + if h.spherical && h.radial { 3 } else { 2 };
     let mut groups = Vec::with_capacity(h.n_groups.min(body.len() / 8));
     for _ in 0..h.n_groups {
         let start = base + r.position();
@@ -241,16 +248,15 @@ pub(crate) fn dequantize_point(q: [i64; 3], sq: Option<&SphericalQuant>, q_xyz: 
     }
 }
 
-/// Materialize decoded quantized polylines into Cartesian points, exactly as
-/// the sequential decoder does (bit-identical `f64` results).
-pub fn push_dequantized(
+/// Convert decoded quantized polylines to Cartesian points, in order.
+fn dequantize_lines(
     lines: &[Vec<[i64; 3]>],
     sq: Option<&SphericalQuant>,
     q_xyz: f64,
-    cloud: &mut PointCloud,
+    mut emit: impl FnMut(Point3),
 ) {
     let Some(sq) = sq else {
-        cloud.extend(lines.iter().flatten().map(|&q| dequantize_point(q, None, q_xyz)));
+        lines.iter().flatten().for_each(|&q| emit(dequantize_point(q, None, q_xyz)));
         return;
     };
     // Neighbouring points of a polyline mostly share their quantized φ, so
@@ -263,7 +269,7 @@ pub fn push_dequantized(
             sin_cos_phi = s.phi.sin_cos();
             phi = Some(q[1]);
         }
-        cloud.push(s.to_cartesian_with(sin_cos_phi));
+        emit(s.to_cartesian_with(sin_cos_phi));
     }
 }
 
@@ -281,56 +287,126 @@ pub fn read_dense(
         .decode_with_limit(dense_bytes, max_points)?)
 }
 
-/// Decode the dense section from its byte span (as reported by
-/// [`section_spans`]), returning the points and the octree depth.
+/// One section of a stream body, in decode order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Section {
+    /// The dense octree section.
+    Dense,
+    /// Sparse group `g`.
+    Group(usize),
+    /// The outlier section.
+    Outlier,
+}
+
+/// Where [`decode_body`] sends what it decodes. The walk is generic over
+/// the sink, so each sink gets its own monomorphized copy.
+pub trait PointSink {
+    /// Called before `section` is decoded, with `left` the header's point
+    /// count minus the points decoded so far. Returns the section's point
+    /// budget, or `None` to skip the section without reading its bytes.
+    fn open(&mut self, section: Section, left: usize) -> Option<usize>;
+
+    /// Called once `section` has decoded to `points` points, before any of
+    /// them is pushed; `depth` is as in [`PointSink::push`]. An error ends
+    /// the walk.
+    fn check(&mut self, _section: Section, _points: usize, _depth: u32) -> Result<(), DbgcError> {
+        Ok(())
+    }
+
+    /// One decoded point, in stream order, from `section`; `depth` is the
+    /// octree depth for the dense section and 0 otherwise.
+    fn push(&mut self, p: Point3, section: Section, depth: u32);
+}
+
+/// The sink of [`decompress`](crate::decompress()): every section, every
+/// point, in stream order.
+impl PointSink for PointCloud {
+    fn open(&mut self, _: Section, left: usize) -> Option<usize> {
+        Some(left)
+    }
+
+    fn push(&mut self, p: Point3, _: Section, _: u32) {
+        PointCloud::push(self, p);
+    }
+}
+
+/// Decode the sections of `body` at `spans` in stream order into `sink`.
 ///
-/// The span must be exactly the section: trailing bytes are rejected, so a
-/// directory pointing mid-stream cannot silently mis-frame the decode.
-pub fn decode_dense_span(
-    span: &[u8],
+/// Each decoded span must hold exactly its section: trailing bytes are an
+/// error, so spans taken from a lying index cannot mis-frame a decode. When
+/// the sink skips no section, the points decoded must total the header's
+/// count. Stage times go into the returned stats and, under `root`, into
+/// `oct`, `spa`/`cor` (one pair per decoded group) and `out` child spans.
+pub fn decode_body<S: PointSink>(
+    body: &[u8],
     h: &StreamHeader,
-    max_points: usize,
-) -> Result<(Vec<Point3>, u32), DbgcError> {
-    let mut r = ByteReader::new(span);
-    let res = read_dense(&mut r, h, max_points)?;
-    if !r.is_empty() {
-        return Err(DbgcError::BadHeader("trailing bytes after dense section"));
-    }
-    Ok((res.points, res.depth))
-}
+    spans: &SectionSpans,
+    sink: &mut S,
+    root: Option<&Span>,
+) -> Result<DecompressStats, DbgcError> {
+    let mut stats = DecompressStats::default();
+    let (mut decoded, mut skipped) = (0, false);
+    let mut open = |sink: &mut S, section, span: &Range<usize>, decoded: usize| {
+        let budget = sink.open(section, h.declared_points.saturating_sub(decoded));
+        skipped |= budget.is_none();
+        // A span outside the body reads as empty, which no section decodes.
+        budget.map(|budget| (ByteReader::new(body.get(span.clone()).unwrap_or(&[])), budget))
+    };
+    let whole = |r: &ByteReader<'_>, what| {
+        if r.is_empty() {
+            Ok(())
+        } else {
+            Err(DbgcError::BadHeader(what))
+        }
+    };
 
-/// Decode one sparse group from its byte span (starting at `r_max`),
-/// materialized to Cartesian points. Entropy-coder state is initialized
-/// fresh from the span, so groups decode independently of one another.
-pub fn decode_group_span(
-    span: &[u8],
-    h: &StreamHeader,
-    max_points: usize,
-) -> Result<Vec<Point3>, DbgcError> {
-    let mut r = ByteReader::new(span);
-    let r_max = read_group_r_max(&mut r)?;
-    let (cfg, sq) = group_codec_cfg(h, r_max);
-    let lines = decode_group_with_limit(&mut r, &cfg, max_points)?;
-    if !r.is_empty() {
-        return Err(DbgcError::BadHeader("trailing bytes after group section"));
+    if let Some((mut r, budget)) = open(sink, Section::Dense, &spans.dense, decoded) {
+        let _stage = root.map(|s| s.child("oct"));
+        let t = Instant::now();
+        let dense = read_dense(&mut r, h, budget)?;
+        whole(&r, "trailing bytes after dense section")?;
+        sink.check(Section::Dense, dense.points.len(), dense.depth)?;
+        decoded += dense.points.len();
+        dense.points.into_iter().for_each(|p| sink.push(p, Section::Dense, dense.depth));
+        stats.oct = t.elapsed();
     }
-    let mut cloud = PointCloud::new();
-    push_dequantized(&lines, sq.as_ref(), h.q_xyz, &mut cloud);
-    Ok(cloud.into_points())
-}
 
-/// Decode the outlier section from its byte span.
-pub fn decode_outlier_span(
-    span: &[u8],
-    h: &StreamHeader,
-    max_points: usize,
-) -> Result<Vec<Point3>, DbgcError> {
-    let mut r = ByteReader::new(span);
-    let pts = decode_outliers(&mut r, h.q_xyz, max_points)?;
-    if !r.is_empty() {
-        return Err(DbgcError::BadHeader("trailing bytes after outlier section"));
+    for (g, span) in spans.groups.iter().enumerate() {
+        let section = Section::Group(g);
+        let Some((mut r, budget)) = open(sink, section, span, decoded) else { continue };
+        let r_max = read_group_r_max(&mut r)?;
+        let stage = root.map(|s| s.child("spa"));
+        let t = Instant::now();
+        let (cfg, sq) = group_codec_cfg(h, r_max);
+        let lines = decode_group_with_limit(&mut r, &cfg, budget)?;
+        whole(&r, "trailing bytes after group section")?;
+        stats.spa += t.elapsed();
+        drop(stage);
+        let points = lines.iter().map(Vec::len).sum::<usize>();
+        sink.check(section, points, 0)?;
+        decoded += points;
+
+        let _stage = root.map(|s| s.child("cor"));
+        let t = Instant::now();
+        dequantize_lines(&lines, sq.as_ref(), h.q_xyz, |p| sink.push(p, section, 0));
+        stats.cor += t.elapsed();
     }
-    Ok(pts)
+
+    if let Some((mut r, budget)) = open(sink, Section::Outlier, &spans.outlier, decoded) {
+        let _stage = root.map(|s| s.child("out"));
+        let t = Instant::now();
+        let outliers = decode_outliers(&mut r, h.q_xyz, budget)?;
+        whole(&r, "trailing bytes after outlier section")?;
+        sink.check(Section::Outlier, outliers.len(), 0)?;
+        decoded += outliers.len();
+        outliers.into_iter().for_each(|p| sink.push(p, Section::Outlier, 0));
+        stats.out = t.elapsed();
+    }
+
+    if !skipped && decoded != h.declared_points {
+        return Err(DbgcError::BadHeader("decoded point count mismatch"));
+    }
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -350,7 +426,7 @@ mod tests {
             })
             .collect();
         let mut cloud = PointCloud::new();
-        push_dequantized(&lines, Some(&sq), 0.02, &mut cloud);
+        dequantize_lines(&lines, Some(&sq), 0.02, |p| cloud.push(p));
         let bits = |p: &Point3| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()];
         let want: Vec<_> =
             lines.iter().flatten().map(|&q| bits(&dequantize_point(q, Some(&sq), 0.02))).collect();

@@ -13,11 +13,11 @@
 //! `L_ref`: `p_bl = 0`, `p_ur = 1`, `p_um = 2`, `p_ul = 3`.
 //!
 //! On organize-stage input `l*` is never copied whole: it is an ordered
-//! list of [`Segment`]s, each a point range of one already-coded line, so
+//! list of `Segment`s, each a point range of one already-coded line, so
 //! merging a line rewrites a few segments instead of shifting every point
 //! after it. Each line then reads only the few `l*` points its own θ span
-//! can reach ([`Consensus::advance`]), and [`StarCursor`] walks them. The
-//! quadratic [`build_consensus_into`], which copies `l*` point by point, is
+//! can reach (`Consensus::advance`), and `StarCursor` walks them. The
+//! quadratic `build_consensus_into`, which copies `l*` point by point, is
 //! the fallback for input that breaks the organize-stage ordering and the
 //! oracle the segment list is tested against.
 //!

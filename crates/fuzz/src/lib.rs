@@ -22,7 +22,8 @@ use rand::{Rng, SeedableRng};
 /// knows which decoder each regression input belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Target {
-    /// `dbgc::decompress` on a full DBGC stream.
+    /// `dbgc::decompress` on a full DBGC stream, which must accept exactly
+    /// what `dbgc_store::decode_annotated` accepts (see [`decode_target`]).
     Dbgc,
     /// The baseline octree coder.
     OctreeBaseline,
@@ -94,10 +95,31 @@ fn finite(points: &[Point3]) -> Result<(), String> {
 /// function only validates what a successful decode returned.
 pub fn decode_target(target: Target, bytes: &[u8]) -> Result<(), String> {
     match target {
-        Target::Dbgc => match dbgc::decompress(bytes) {
-            Ok((cloud, _)) => finite(cloud.points()),
-            Err(_) => Ok(()),
-        },
+        Target::Dbgc => {
+            let cloud = dbgc::decompress(bytes).map(|(cloud, _)| cloud);
+            // The store's reference decode strips a corrupt trailer that
+            // `decompress` refuses; on every other input the two accept the
+            // same streams and yield the same points in the same order.
+            if !matches!(dbgc::split_index_trailer(bytes), dbgc::IndexTrailer::Corrupt { .. }) {
+                let bits = |p: &Point3| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()];
+                match (&cloud, dbgc_store::decode_annotated(bytes)) {
+                    (Ok(c), Ok(a))
+                        if c.iter().map(bits).eq(a.points.iter().map(|p| bits(&p.pos))) => {}
+                    (Err(_), Err(_)) => {}
+                    (c, a) => {
+                        return Err(format!(
+                            "decompress and decode_annotated disagree: {} vs {}",
+                            c.as_ref().map_or("Err".into(), |c| format!("{} points", c.len())),
+                            a.map_or("Err".into(), |a| format!("{} points", a.points.len())),
+                        ))
+                    }
+                }
+            }
+            match cloud {
+                Ok(cloud) => finite(cloud.points()),
+                Err(_) => Ok(()),
+            }
+        }
         Target::OctreeBaseline => match dbgc_octree::OctreeCodec::baseline().decode(bytes) {
             Ok(dec) => finite(&dec.points),
             Err(_) => Ok(()),

@@ -153,7 +153,7 @@ pub mod collection {
     use super::strategy::Strategy;
     use super::*;
 
-    /// Length bounds for [`vec`].
+    /// Length bounds for [`vec()`].
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,
@@ -178,7 +178,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

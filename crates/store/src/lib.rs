@@ -13,14 +13,20 @@
 //! * [`Query`] — a composable AST (`Aabb`, `Frustum`, `Lod`, `TimeRange`,
 //!   `DensityClass` under `And`/`Or`/`Not`) with point-level semantics in
 //!   [`Query::matches`];
-//! * [`plan`] — a conservative three-valued planner that folds a query over
-//!   directory metadata into per-section [`Verdict`]s;
+//! * [`plan`](mod@plan) — a conservative three-valued planner that folds a
+//!   query over directory metadata into per-section [`Verdict`]s;
 //! * [`FrameStore`] — the archive: ingests streamed frames (including
 //!   [`dbgc_net::FleetHandle::drain`] hand-off), answers queries by
 //!   *partial decode* — seeking straight to the sections the planner could
 //!   not rule out, re-initialising entropy state per section — and degrades
 //!   to a full-decode fallback (counted in the `store.index_fallbacks`
 //!   metric) whenever a frame's index is missing, corrupt or inconsistent.
+//!
+//! Every decode here is [`dbgc::layout::decode_body`], the walk
+//! [`dbgc::decompress()`] uses, into a sink: the query sink writes matching
+//! [`PointRecord`]s straight into the result, on both the partial and the
+//! fallback path, and [`decode_annotated`] annotates every point of every
+//! section.
 //!
 //! Correctness story: the partial path is differentially tested against
 //! [`oracle::decode_annotated`] — a brute-force full decode + filter — for
@@ -74,8 +80,6 @@ use dbgc::DbgcError;
 pub enum StoreError {
     /// The underlying stream failed to decode.
     Decode(DbgcError),
-    /// A frame was structurally unusable (bad header, count mismatch, …).
-    BadFrame(&'static str),
     /// The spatial directory disagreed with the stream it indexes; the
     /// caller falls back to a full decode.
     IndexMismatch(&'static str),
@@ -85,7 +89,6 @@ impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StoreError::Decode(e) => write!(f, "stream decode failed: {e}"),
-            StoreError::BadFrame(msg) => write!(f, "bad frame: {msg}"),
             StoreError::IndexMismatch(msg) => write!(f, "index mismatch: {msg}"),
         }
     }

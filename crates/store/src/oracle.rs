@@ -1,14 +1,16 @@
-//! Annotated full decode — the differential oracle.
+//! Annotated full decode: the differential oracle.
 //!
-//! [`decode_annotated`] decodes a complete stream exactly like
-//! [`dbgc::decompress`] (same section order, same budgets, same strictness)
-//! but tags every point with its provenance: density class, LOD depth and
-//! sparse-group index. Queries answered by brute-force filtering this output
-//! are the ground truth the planner/partial-decode path is tested against —
-//! and the store's runtime fallback when a frame has no usable index.
+//! [`decode_annotated`] walks every section of a stream with the decoder
+//! [`dbgc::decompress()`] uses ([`dbgc::layout::decode_body`]), so it keeps
+//! the same section order, budgets and strictness, but tags every point
+//! with its provenance: density class, LOD depth and sparse-group index. It
+//! never consults the planner or the index. Queries answered by filtering
+//! its output with [`Query::matches`](crate::Query::matches) are the ground
+//! truth that [`FrameStore::query`](crate::FrameStore::query) is tested
+//! against.
 
-use dbgc::layout::{decode_dense_span, decode_group_span, decode_outlier_span, section_spans};
-use dbgc::{split_index_trailer, IndexTrailer, StreamHeader};
+use dbgc::layout::{decode_body, parse_header, section_spans, PointSink, Section};
+use dbgc::{split_index_trailer, IndexTrailer};
 use dbgc_geom::Point3;
 
 use crate::query::DensityClass;
@@ -27,6 +29,17 @@ pub struct AnnotatedPoint {
     pub group: Option<u32>,
 }
 
+impl AnnotatedPoint {
+    /// `pos`, decoded from `section` at LOD depth `lod_depth`.
+    pub(crate) fn new(pos: Point3, section: Section, lod_depth: u32) -> AnnotatedPoint {
+        let group = match section {
+            Section::Group(g) => Some(g as u32),
+            _ => None,
+        };
+        AnnotatedPoint { pos, class: DensityClass::of(section), lod_depth, group }
+    }
+}
+
 /// A fully decoded, annotated frame in canonical decode order.
 #[derive(Debug, Clone, Default)]
 pub struct AnnotatedCloud {
@@ -34,63 +47,33 @@ pub struct AnnotatedCloud {
     pub points: Vec<AnnotatedPoint>,
 }
 
+impl PointSink for AnnotatedCloud {
+    fn open(&mut self, _: Section, left: usize) -> Option<usize> {
+        Some(left)
+    }
+
+    fn push(&mut self, pos: Point3, section: Section, depth: u32) {
+        self.points.push(AnnotatedPoint::new(pos, section, depth));
+    }
+}
+
 /// Decode `bytes` completely, annotating each point with its provenance.
 ///
 /// Accepts index-less v1 streams, indexed streams (the CRC-valid trailer is
 /// skipped) and streams whose trailer is corrupt (the recoverable body is
-/// decoded — this leniency is what makes the oracle usable as the corrupt-
-/// index fallback). Point positions and order are bit-identical to
-/// [`dbgc::decompress`] on the same input.
+/// decoded). Point positions and order are bit-identical to
+/// [`dbgc::decompress()`] on the same input.
 pub fn decode_annotated(bytes: &[u8]) -> Result<AnnotatedCloud, StoreError> {
     let body = match split_index_trailer(bytes) {
         IndexTrailer::Valid { body, .. } | IndexTrailer::Corrupt { body } => body,
         IndexTrailer::None => bytes,
     };
-    let header = dbgc::layout::parse_header(body)?;
-    decode_annotated_body(body, &header)
-}
-
-/// Annotated decode of a trailer-stripped body with a parsed header.
-pub(crate) fn decode_annotated_body(
-    body: &[u8],
-    header: &StreamHeader,
-) -> Result<AnnotatedCloud, StoreError> {
-    let spans = section_spans(body, header)?;
-    let declared = header.declared_points;
-    let mut points = Vec::with_capacity(declared.min(body.len()));
-
-    let (dense_pts, dense_depth) = decode_dense_span(&body[spans.dense], header, declared)?;
-    points.extend(dense_pts.into_iter().map(|pos| AnnotatedPoint {
-        pos,
-        class: DensityClass::Dense,
-        lod_depth: dense_depth,
-        group: None,
-    }));
-
-    for (g, span) in spans.groups.iter().enumerate() {
-        let budget = declared.saturating_sub(points.len());
-        let group_pts = decode_group_span(&body[span.clone()], header, budget)?;
-        points.extend(group_pts.into_iter().map(|pos| AnnotatedPoint {
-            pos,
-            class: DensityClass::Sparse,
-            lod_depth: 0,
-            group: Some(g as u32),
-        }));
-    }
-
-    let budget = declared.saturating_sub(points.len());
-    let outlier_pts = decode_outlier_span(&body[spans.outlier], header, budget)?;
-    points.extend(outlier_pts.into_iter().map(|pos| AnnotatedPoint {
-        pos,
-        class: DensityClass::Outlier,
-        lod_depth: 0,
-        group: None,
-    }));
-
-    if points.len() != declared {
-        return Err(StoreError::BadFrame("decoded point count disagrees with header"));
-    }
-    Ok(AnnotatedCloud { points })
+    let header = parse_header(body)?;
+    let spans = section_spans(body, &header)?;
+    let mut cloud =
+        AnnotatedCloud { points: Vec::with_capacity(header.declared_points.min(body.len())) };
+    decode_body(body, &header, &spans, &mut cloud, None)?;
+    Ok(cloud)
 }
 
 #[cfg(test)]

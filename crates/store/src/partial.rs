@@ -1,33 +1,26 @@
-//! Partial decode: seek to the sections a query's plan could not rule out.
+//! The query sink: one walk of a frame's sections that keeps only the
+//! points a query matches.
 //!
-//! Each DBGC section is independently decodable from its byte span (the
-//! entropy coder is re-initialised per section), so a query whose plan skips
-//! a section never touches its bytes. Everything decoded is cross-checked
-//! against the directory (exact point counts, strict span framing); any
-//! disagreement aborts with [`StoreError::IndexMismatch`] so the caller can
-//! fall back to a trusted full decode.
+//! An indexed frame takes its section spans and a [`Verdict`] per section
+//! from its validated directory: a `Skip`ped section's bytes are never read,
+//! a `Take`n section keeps every point, and a `Test`ed one filters each
+//! point with [`Query::matches`]. Each section decodes on its own (the
+//! entropy coder starts afresh per section), and is cross-checked against
+//! the directory: its exact point count and, for the dense section, its
+//! octree depth. A disagreement ends the walk with an error, and the store
+//! then walks the frame again without the index, every section at `Test`:
+//! the full-decode fallback, which filters as it decodes.
 
-use dbgc::index::{SectionEntry, SpatialDirectory};
-use dbgc::layout::{decode_dense_span, decode_group_span, decode_outlier_span};
-use dbgc::StreamHeader;
+use dbgc::index::SpatialDirectory;
+use dbgc::layout::{PointSink, Section};
+use dbgc::{DbgcError, StreamHeader};
+use dbgc_geom::Point3;
 
 use crate::oracle::AnnotatedPoint;
 use crate::plan::{plan, SectionMeta, Verdict};
 use crate::query::{DensityClass, Query};
+use crate::store::{ArchivedFrame, PointRecord};
 use crate::StoreError;
-
-/// Result of a partial decode of one frame.
-#[derive(Debug, Default)]
-pub(crate) struct PartialOutcome {
-    /// Matching points, in stream order, annotated with provenance.
-    pub points: Vec<AnnotatedPoint>,
-    /// Section payload bytes actually read and decoded.
-    pub section_bytes: u64,
-    /// Sections decoded (verdict `Take` or `Test`).
-    pub sections_decoded: usize,
-    /// Sections skipped outright.
-    pub sections_skipped: usize,
-}
 
 /// Check that a parsed directory actually describes `body`: the layout
 /// invariants below hold for every stream the encoder emits, so any
@@ -72,131 +65,92 @@ pub(crate) fn validate_directory(
     Ok(())
 }
 
-fn section_span<'a>(body: &'a [u8], entry: &SectionEntry) -> &'a [u8] {
-    // Bounds were established by `SpatialDirectory::parse` + tiling checks.
-    &body[entry.offset..entry.offset + entry.len]
-}
-
-/// Decode only the sections of `body` that `query` might match, per the
-/// directory `dir` (which must have passed [`validate_directory`]).
-pub(crate) fn partial_decode_frame(
-    body: &[u8],
-    header: &StreamHeader,
-    dir: &SpatialDirectory,
-    query: &Query,
-    time_us: u64,
-) -> Result<PartialOutcome, StoreError> {
-    let mut out = PartialOutcome::default();
-
-    let dense_meta = SectionMeta {
-        aabb: dir.dense.aabb,
-        empty: dir.dense.points == 0,
-        class: Some(DensityClass::Dense),
-        lod_depth: Some(dir.dense_depth),
-        time_us: Some(time_us),
-        r_interval: None,
-    };
-    match plan(query, &dense_meta) {
-        Verdict::Skip => out.sections_skipped += 1,
-        verdict => {
-            let span = section_span(body, &dir.dense);
-            let (pts, depth) = decode_dense_span(span, header, dir.dense.points)?;
-            if pts.len() != dir.dense.points {
-                return Err(StoreError::IndexMismatch("dense point count lied"));
-            }
-            if depth != dir.dense_depth {
-                return Err(StoreError::IndexMismatch("dense depth lied"));
-            }
-            out.section_bytes += span.len() as u64;
-            out.sections_decoded += 1;
-            emit(
-                &mut out.points,
-                pts,
-                DensityClass::Dense,
-                dir.dense_depth,
-                None,
-                verdict,
-                query,
-                time_us,
-            );
-        }
-    }
-
-    for (g, entry) in dir.groups.iter().enumerate() {
-        let meta = SectionMeta {
-            aabb: entry.section.aabb,
-            empty: entry.section.points == 0,
-            class: Some(DensityClass::Sparse),
-            lod_depth: Some(0),
-            time_us: Some(time_us),
-            r_interval: Some((entry.r_min, entry.r_max)),
-        };
-        match plan(query, &meta) {
-            Verdict::Skip => out.sections_skipped += 1,
-            verdict => {
-                let span = section_span(body, &entry.section);
-                let pts = decode_group_span(span, header, entry.section.points)?;
-                if pts.len() != entry.section.points {
-                    return Err(StoreError::IndexMismatch("group point count lied"));
-                }
-                out.section_bytes += span.len() as u64;
-                out.sections_decoded += 1;
-                emit(
-                    &mut out.points,
-                    pts,
-                    DensityClass::Sparse,
-                    0,
-                    Some(g as u32),
-                    verdict,
-                    query,
-                    time_us,
-                );
-            }
-        }
-    }
-
-    let outlier_meta = SectionMeta {
-        aabb: dir.outlier.aabb,
-        empty: dir.outlier.points == 0,
-        class: Some(DensityClass::Outlier),
-        lod_depth: Some(0),
-        time_us: Some(time_us),
-        r_interval: None,
-    };
-    match plan(query, &outlier_meta) {
-        Verdict::Skip => out.sections_skipped += 1,
-        verdict => {
-            let span = section_span(body, &dir.outlier);
-            let pts = decode_outlier_span(span, header, dir.outlier.points)?;
-            if pts.len() != dir.outlier.points {
-                return Err(StoreError::IndexMismatch("outlier point count lied"));
-            }
-            out.section_bytes += span.len() as u64;
-            out.sections_decoded += 1;
-            emit(&mut out.points, pts, DensityClass::Outlier, 0, None, verdict, query, time_us);
-        }
-    }
-
-    Ok(out)
-}
-
-/// Append decoded points, filtering per point only when the verdict demands
-/// it (`Take` keeps everything without re-testing).
-#[allow(clippy::too_many_arguments)]
-fn emit(
-    out: &mut Vec<AnnotatedPoint>,
-    pts: Vec<dbgc_geom::Point3>,
-    class: DensityClass,
-    lod_depth: u32,
-    group: Option<u32>,
+/// Appends the points of one frame that a query matches to `out`, in
+/// stream order.
+pub(crate) struct QuerySink<'a> {
+    query: &'a Query,
+    frame: &'a ArchivedFrame,
+    /// The frame's validated directory; `None` decodes every section.
+    dir: Option<&'a SpatialDirectory>,
+    out: &'a mut Vec<PointRecord>,
     verdict: Verdict,
-    query: &Query,
-    time_us: u64,
-) {
-    for pos in pts {
-        let ap = AnnotatedPoint { pos, class, lod_depth, group };
-        if verdict == Verdict::Take || query.matches(&ap, time_us) {
-            out.push(ap);
+    /// The open section's point count, as the directory records it.
+    expected: usize,
+    /// Bytes of the sections decoded.
+    pub section_bytes: u64,
+    /// Sections decoded (verdict `Take` or `Test`).
+    pub sections_decoded: usize,
+    /// Sections skipped outright.
+    pub sections_skipped: usize,
+}
+
+impl<'a> QuerySink<'a> {
+    pub(crate) fn new(
+        query: &'a Query,
+        frame: &'a ArchivedFrame,
+        dir: Option<&'a SpatialDirectory>,
+        out: &'a mut Vec<PointRecord>,
+    ) -> QuerySink<'a> {
+        QuerySink {
+            query,
+            frame,
+            dir,
+            out,
+            verdict: Verdict::Test,
+            expected: 0,
+            section_bytes: 0,
+            sections_decoded: 0,
+            sections_skipped: 0,
+        }
+    }
+}
+
+impl PointSink for QuerySink<'_> {
+    fn open(&mut self, section: Section, left: usize) -> Option<usize> {
+        let Some(dir) = self.dir else { return Some(left) };
+        let (entry, r_interval) = match section {
+            Section::Dense => (&dir.dense, None),
+            Section::Group(g) => {
+                (&dir.groups[g].section, Some((dir.groups[g].r_min, dir.groups[g].r_max)))
+            }
+            Section::Outlier => (&dir.outlier, None),
+        };
+        let meta = SectionMeta {
+            aabb: entry.aabb,
+            empty: entry.points == 0,
+            class: Some(DensityClass::of(section)),
+            lod_depth: Some(if section == Section::Dense { dir.dense_depth } else { 0 }),
+            time_us: Some(self.frame.time_us),
+            r_interval,
+        };
+        self.verdict = plan(self.query, &meta);
+        if self.verdict == Verdict::Skip {
+            self.sections_skipped += 1;
+            return None;
+        }
+        self.sections_decoded += 1;
+        self.section_bytes += entry.len as u64;
+        self.expected = entry.points;
+        Some(entry.points)
+    }
+
+    fn check(&mut self, section: Section, points: usize, depth: u32) -> Result<(), DbgcError> {
+        match self.dir {
+            Some(dir)
+                if points != self.expected
+                    || (section == Section::Dense && depth != dir.dense_depth) =>
+            {
+                Err(DbgcError::BadHeader("section disagrees with the index"))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    fn push(&mut self, pos: Point3, section: Section, depth: u32) {
+        let point = AnnotatedPoint::new(pos, section, depth);
+        if self.verdict == Verdict::Take || self.query.matches(&point, self.frame.time_us) {
+            let (frame_id, time_us) = (self.frame.id, self.frame.time_us);
+            self.out.push(PointRecord { frame_id, time_us, point });
         }
     }
 }

@@ -4,13 +4,14 @@
 //! semantics:
 //!
 //! * the oracle path filters every decoded point with [`Query::matches`];
-//! * the planner ([`crate::plan`]) derives a conservative three-valued
-//!   verdict per stream section from the spatial directory, so partial
-//!   decode can skip sections whose points provably cannot match.
+//! * the planner ([`crate::plan`](mod@crate::plan)) derives a conservative
+//!   three-valued verdict per stream section from the spatial directory, so
+//!   partial decode can skip sections whose points provably cannot match.
 //!
 //! Correctness therefore never depends on the planner being *precise* —
 //! only on it being *sound* — and the differential tests pin exactly that.
 
+use dbgc::layout::Section;
 use dbgc_geom::{Aabb, Point3};
 
 use crate::oracle::AnnotatedPoint;
@@ -24,6 +25,17 @@ pub enum DensityClass {
     Sparse,
     /// Outlier section (quadtree / octree / raw).
     Outlier,
+}
+
+impl DensityClass {
+    /// The class of the points `section` decodes to.
+    pub(crate) fn of(section: Section) -> DensityClass {
+        match section {
+            Section::Dense => DensityClass::Dense,
+            Section::Group(_) => DensityClass::Sparse,
+            Section::Outlier => DensityClass::Outlier,
+        }
+    }
 }
 
 /// A convex viewing frustum described by inward-pointing half-space planes.

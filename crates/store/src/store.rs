@@ -1,13 +1,13 @@
 //! The frame archive: ingest compressed frames, answer queries by partial
 //! decode, fall back to full decode when the index cannot be trusted.
 
-use dbgc::layout::parse_header;
+use dbgc::layout::{decode_body, parse_header, section_spans};
 use dbgc::{split_index_trailer, IndexTrailer, SpatialDirectory, StreamHeader};
 use dbgc_metrics::Collector;
 use dbgc_net::StoredFrame;
 
-use crate::oracle::{decode_annotated_body, AnnotatedPoint};
-use crate::partial::{partial_decode_frame, validate_directory};
+use crate::oracle::AnnotatedPoint;
+use crate::partial::{validate_directory, QuerySink};
 use crate::plan::{plan, SectionMeta, Verdict};
 use crate::query::Query;
 use crate::StoreError;
@@ -196,8 +196,8 @@ impl FrameStore {
     ///
     /// Frames the planner can rule out wholesale (by time range or frame
     /// AABB) cost zero payload bytes; indexed frames decode only surviving
-    /// sections; unindexed or untrustworthy frames are fully decoded and
-    /// filtered — results are identical either way.
+    /// sections; unindexed or untrustworthy frames decode every section,
+    /// filtered as they decode — results are identical either way.
     pub fn query(&self, query: &Query) -> Result<QueryResult, StoreError> {
         let _span = self.metrics.span("store.query");
         let mut res = QueryResult { frames_scanned: self.frames.len(), ..QueryResult::default() };
@@ -216,42 +216,30 @@ impl FrameStore {
                 continue;
             }
             let body = &frame.bytes[..frame.body_len];
-            let index_bytes = (frame.bytes.len() - frame.body_len) as u64;
-            let mut full_decode_needed = true;
-            if let Some(dir) = frame.directory.as_ref() {
-                match partial_decode_frame(body, &frame.header, dir, query, frame.time_us) {
-                    Ok(out) => {
-                        full_decode_needed = false;
-                        res.frames_partial += 1;
-                        res.bytes_touched +=
-                            frame.header.header_len as u64 + index_bytes + out.section_bytes;
-                        self.metrics.incr("store.sections_skipped", out.sections_skipped as u64);
-                        self.metrics.incr("store.sections_decoded", out.sections_decoded as u64);
-                        res.points.extend(out.points.into_iter().map(|point| PointRecord {
-                            frame_id: frame.id,
-                            time_us: frame.time_us,
-                            point,
-                        }));
-                    }
-                    // The index lied about the stream: degrade to the
-                    // trusted full decode below.
-                    Err(StoreError::Decode(_) | StoreError::IndexMismatch(_)) => {}
-                    Err(e) => return Err(e),
+            let first = res.points.len();
+            if let Some(dir) = &frame.directory {
+                let mut sink = QuerySink::new(query, frame, Some(dir), &mut res.points);
+                if decode_body(body, &frame.header, &dir.spans(), &mut sink, None).is_ok() {
+                    res.frames_partial += 1;
+                    let index_bytes = frame.bytes.len() - frame.body_len;
+                    res.bytes_touched +=
+                        (frame.header.header_len + index_bytes) as u64 + sink.section_bytes;
+                    self.metrics.incr("store.sections_skipped", sink.sections_skipped as u64);
+                    self.metrics.incr("store.sections_decoded", sink.sections_decoded as u64);
+                    continue;
                 }
+                // The index lied about the stream: drop what the walk kept
+                // and fall back to the trusted full decode below.
+                res.points.truncate(first);
             }
-            if full_decode_needed {
-                if frame.directory.is_some() || frame.index_corrupt {
-                    res.frames_fallback += 1;
-                    self.metrics.incr("store.index_fallbacks", 1);
-                }
-                res.bytes_touched += frame.bytes.len() as u64;
-                let full = decode_annotated_body(body, &frame.header)?;
-                res.points.extend(
-                    full.points.into_iter().filter(|p| query.matches(p, frame.time_us)).map(
-                        |point| PointRecord { frame_id: frame.id, time_us: frame.time_us, point },
-                    ),
-                );
+            if frame.directory.is_some() || frame.index_corrupt {
+                res.frames_fallback += 1;
+                self.metrics.incr("store.index_fallbacks", 1);
             }
+            res.bytes_touched += frame.bytes.len() as u64;
+            let spans = section_spans(body, &frame.header)?;
+            let mut sink = QuerySink::new(query, frame, None, &mut res.points);
+            decode_body(body, &frame.header, &spans, &mut sink, None)?;
         }
         self.metrics.add_bytes("store.bytes_touched", res.bytes_touched);
         self.metrics.add_bytes("store.bytes_total", res.bytes_total);

@@ -251,15 +251,16 @@ fn corrupt_index_trailer_falls_back_to_full_decode() {
 
 #[test]
 fn lying_index_counts_fall_back_at_query_time() {
-    // A CRC-valid directory whose per-group point counts lie (two groups
-    // swapped, so the frame-level sum still checks out at ingest). The
-    // partial decoder must catch the per-section mismatch and fall back.
+    // CRC-valid directories that lie about one section while the point
+    // counts still sum to the header's total, so ingest accepts them. Each
+    // query decodes the lying section; the partial decoder must catch the
+    // per-section mismatch and fall back to exactly the oracle's answer.
     let bytes = compress_indexed(ScenePreset::KittiCampus);
     let (body, payload) = match split_index_trailer(&bytes) {
         IndexTrailer::Valid { body, payload } => (body.to_vec(), payload),
         other => panic!("expected valid trailer, got {other:?}"),
     };
-    let mut dir = SpatialDirectory::parse(payload, body.len()).unwrap();
+    let dir = SpatialDirectory::parse(payload, body.len()).unwrap();
     let (mut a, mut b) = (usize::MAX, usize::MAX);
     'outer: for i in 0..dir.groups.len() {
         for j in i + 1..dir.groups.len() {
@@ -270,21 +271,58 @@ fn lying_index_counts_fall_back_at_query_time() {
         }
     }
     assert_ne!(a, usize::MAX, "need two groups with distinct point counts");
-    let tmp = dir.groups[a].section.points;
-    dir.groups[a].section.points = dir.groups[b].section.points;
-    dir.groups[b].section.points = tmp;
+    assert!(dir.dense.points > 0 && dir.groups[a].section.points > 0);
+    let dense = Query::DensityClass(DensityClass::Dense);
+    let outlier = Query::DensityClass(DensityClass::Outlier);
+    type Lie = fn(&mut SpatialDirectory, usize, usize);
+    let lies: [(&str, Lie, Query); 4] = [
+        // Two groups swapped: with every section decoded, the first of the
+        // two groups is caught.
+        (
+            "group-counts",
+            |d, a, b| {
+                let tmp = d.groups[a].section.points;
+                d.groups[a].section.points = d.groups[b].section.points;
+                d.groups[b].section.points = tmp;
+            },
+            Query::All,
+        ),
+        // The dense section claims a point one group gives up.
+        (
+            "dense-count",
+            |d, a, _| {
+                d.dense.points += 1;
+                d.groups[a].section.points -= 1;
+            },
+            dense.clone(),
+        ),
+        ("dense-depth", |d, _, _| d.dense_depth += 1, dense),
+        (
+            "outlier-count",
+            |d, _, _| {
+                d.outlier.points += 1;
+                d.dense.points -= 1;
+            },
+            outlier,
+        ),
+    ];
+    for (name, lie, query) in lies {
+        let mut lying = dir.clone();
+        lie(&mut lying, a, b);
+        let mut tampered = body.clone();
+        dbgc::index::append_index_trailer(&mut tampered, &lying.serialize());
 
-    let mut tampered = body;
-    dbgc::index::append_index_trailer(&mut tampered, &dir.serialize());
-
-    let mut store = FrameStore::new();
-    store.ingest(tampered.clone(), 0).unwrap();
-    // The lie survives ingest (sums match) but not the decode cross-check.
-    assert!(store.frames()[0].has_index());
-    assert_oracle(&store, &tampered, &Query::All, 0, "lying-counts/all");
-    let res = store.query(&Query::All).unwrap();
-    assert_eq!(res.frames_fallback, 1);
-    assert!(store.index_fallbacks() >= 1);
+        let mut store = FrameStore::new();
+        store.ingest(tampered.clone(), 0).unwrap();
+        // The lie survives ingest (sums match) but not the decode cross-check.
+        assert!(store.frames()[0].has_index(), "{name}: demoted at ingest");
+        let res = store.query(&query).unwrap();
+        assert_eq!((res.frames_partial, res.frames_fallback), (0, 1), "{name}");
+        assert_eq!(store.index_fallbacks(), 1, "{name}");
+        let oracle = decode_annotated(&tampered).unwrap();
+        let want = oracle.points.iter().filter(|p| query.matches(p, 0)).map(|p| p.pos);
+        assert_eq!(norm(res.points.iter().map(|r| r.point.pos)), norm(want), "{name}");
+    }
 }
 
 #[test]
